@@ -11,15 +11,13 @@ crossings), since the interesting widths are only a few grid steps wide.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import QuantumGraph
-from .solver import scattering_or_limit, solve_many
+from .graphs import QuantumGraph, atomic_write_text
+from .solver import SINGULAR_UNITARITY_TOL, scattering_or_limit, solve_many
 
 DEFAULT_BAND_FLOOR = 0.01
 FULL_TRANSMISSION_HEIGHT = 0.999
@@ -105,7 +103,7 @@ def sweep_transmission(
                 t[idx], r[idx] = fut.result()
 
     unitary_defect = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
-    bad = ~np.isfinite(t) | ~np.isfinite(r) | (unitary_defect > 1e-6)
+    bad = ~np.isfinite(t) | ~np.isfinite(r) | (unitary_defect > SINGULAR_UNITARITY_TOL)
     for i in np.nonzero(bad)[0]:
         res = scattering_or_limit(graph, float(grid[i]))
         t[i], r[i] = res.t_global, res.r_global
@@ -273,19 +271,6 @@ def detect_peaks(sweep: Sweep, min_height: float = 0.99):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def sweep_to_csv(sweep: Sweep) -> str:

@@ -5,7 +5,7 @@ cycle (c3 .. c99), a composition shorthand (c3+c3 joins cycles by merging
 vertices, c3-c4-c3 joins them through unit bridging edges), or a path to a
 JSON graph file.  Exit status is 0 on success, 1 on usage errors (unknown
 preset, malformed file, bad ranges), and 2 on numerical failures
-(unresolved singularities, truncation that cannot certify, poles).
+(unresolved singularities, truncation that cannot certify, poles, LAPACK).
 
 Numbers are printed with 17 significant digits and files are written
 atomically, so identical invocations produce bit-identical output.
@@ -21,14 +21,20 @@ import sys
 import numpy as np
 
 from .analysis import (
-    atomic_write_text,
+    _fmt,
     detect_peaks,
     peaks_to_json,
     sweep_to_csv,
     sweep_transmission,
 )
 from .compose import compose_series, parse_series_shorthand
-from .graphs import load_graph, make_cycle_graph, scale_lengths, validate_graph
+from .graphs import (
+    atomic_write_text,
+    load_graph,
+    make_cycle_graph,
+    scale_lengths,
+    validate_graph,
+)
 from .solver import extract_rational_amplitude, scattering_or_limit
 from .walks import (
     coefficients_via_power_iteration,
@@ -47,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def resolve_graph(source: str, length_scale: float = 1.0):
@@ -229,12 +231,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.handler(args)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError but is a numerical failure.
+        print(f"qgraph: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"qgraph: error: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
-        print(f"qgraph: numerical failure: {exc}", file=sys.stderr)
-        return 2
     if args.out:
         atomic_write_text(args.out, text)
     else:

@@ -215,8 +215,9 @@ def flawed_reduced_amplitude(n: int) -> RationalAmplitude:
 
     These polynomial coefficients carry sign/arrangement errors: the n=4 form
     gives |T|^2 = 64/41 > 1 at kl = pi/2, and the n=3 form disagrees with the
-    correct value 1/2 there.  They are excluded from every physics path; the
-    audit tests assert that the flaws are detected.
+    correct value 1/2 there.  The corrected forms, in lowest terms, are what
+    extract_rational_amplitude returns for the NK triangle and square.  These
+    are excluded from every physics path; the audit tests detect the flaws.
     """
     if n == 3:
         num = [0, 4, 8, 8, 4]

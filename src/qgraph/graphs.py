@@ -406,19 +406,22 @@ def load_graph(path: str) -> QuantumGraph:
     return graph_from_json(data)
 
 
-def dump_graph(graph: QuantumGraph, path: str) -> None:
-    """Write the JSON form atomically (temp file then rename)."""
+def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(graph_to_json(graph), fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def dump_graph(graph: QuantumGraph, path: str) -> None:
+    """Write the JSON form atomically (temp file then rename)."""
+    atomic_write_text(path, json.dumps(graph_to_json(graph), indent=2) + "\n")
 
 
 def integral_lengths(graph: QuantumGraph, tol: float = 1e-9):

@@ -22,14 +22,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closedforms import RationalAmplitude
-from .graphs import QuantumGraph, integral_lengths, validate_graph
+from .closedforms import LIMIT_OFFSET, RationalAmplitude
+from .graphs import QuantumGraph, subdivide_integral, validate_graph
 
 # A solve at real kl whose output breaks |t|^2 + |r|^2 = 1 worse than this is
 # treated as on-shell singular (the matrix is numerically rank deficient at a
 # perfectly trapped mode); callers fall back to the two-sided limit policy.
 SINGULAR_UNITARITY_TOL = 1e-6
-LIMIT_OFFSET = 1e-9
 
 # Element budget per LAPACK batch; keeps peak memory modest on fine sweeps.
 _BATCH_ELEMENTS = 1 << 21
@@ -142,19 +141,15 @@ def _assemble_cached(graph: QuantumGraph) -> BondSystem:
         if kind != "lead":
             inj[2 * kind + idx] = vmat[v_in][row, lead_in]
 
+    # Readout rows: a bond arriving at a lead's vertex scatters into that lead.
     out_t = np.zeros(nbonds, dtype=complex)
-    for ei, (u, v) in enumerate(ends):
-        for arr_end in (0, 1):
-            if (u, v)[arr_end] == v_out:
-                b_in = 2 * ei + (1 - arr_end)
-                out_t[b_in] = vmat[v_out][lead_out, port_index[v_out][(ei, arr_end)]]
-
     out_r = np.zeros(nbonds, dtype=complex)
-    for ei, (u, v) in enumerate(ends):
-        for arr_end in (0, 1):
-            if (u, v)[arr_end] == v_in:
-                b_in = 2 * ei + (1 - arr_end)
-                out_r[b_in] = vmat[v_in][lead_in, port_index[v_in][(ei, arr_end)]]
+    for out, vid, lead in ((out_t, v_out, lead_out), (out_r, v_in, lead_in)):
+        for ei, (u, v) in enumerate(ends):
+            for arr_end in (0, 1):
+                if (u, v)[arr_end] == vid:
+                    col = port_index[vid][(ei, arr_end)]
+                    out[2 * ei + (1 - arr_end)] = vmat[vid][lead, col]
 
     direct_r = complex(vmat[v_in][lead_in, lead_in])
     direct_t = complex(vmat[v_in][lead_out, lead_in]) if v_out == v_in else 0.0
@@ -273,43 +268,67 @@ def green_function_value(graph: QuantumGraph, x_i: float, x_f: float, kl: float)
 # ---------------------------------------------------------------------------
 # Rational amplitude extraction.
 #
-# For integer edge lengths, t(z), r(z) and det(I - D(z)S) are polynomials (or
-# ratios of polynomials) in z of degree at most L = total directed length.
-# Sampling t*det and det on a circle |z| = rho < 1 and taking an FFT recovers
-# the polynomial coefficients to near machine precision; this avoids the
-# accuracy loss of eigendecomposition-based formulas when S has repeated
-# unit-modulus eigenvalues.
+# On unit bonds D(z) = z I, so t(z) = direct_t + z out_t (I - z S)^{-1} inj,
+# and likewise r(z).  Trapped modes, eigenvectors of S on the unit circle that
+# no lead sees or feeds, cancel from both amplitudes but would leave roots that
+# numerator and denominator share only approximately.  S restricted to the
+# modes that couple to a lead keeps the amplitudes exact, and its
+# det(I - z S) is the shared denominator without those roots.  Sampling t*det
+# and det on a circle |z| = rho < 1 and taking an FFT then recovers the
+# polynomial coefficients to near machine precision.
 # ---------------------------------------------------------------------------
 
 _EXTRACT_RHO = 0.95
+# S^(2^40) has decayed on every mode with |lambda| < 1 - 1e-11; roundoff moves
+# the trapped eigenvalues of its Gram matrix by less than 1e-4.
+_COUPLING_SQUARINGS = 40
+
+
+def _coupled_basis(smatrix: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the bond modes that couple to a lead.
+
+    Unitary vertices give the lead rows C of the bond map C^H C = I - S^H S,
+    so lim (S^k)^H S^k is the orthogonal projector onto the trapped modes
+    (the observability Gramian is the identity minus it).  Its eigenvalues
+    are 0 or 1, which makes the rank test a split at 1/2.
+    """
+    power = smatrix
+    for _ in range(_COUPLING_SQUARINGS):
+        power = power @ power
+    trapped, vecs = np.linalg.eigh(power.conj().T @ power)
+    return vecs[:, trapped < 0.5]
 
 
 def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission") -> RationalAmplitude:
     """Exact rational form of the transmission (or reflection) amplitude.
 
-    Requires integral edge lengths.  The result is normalized to den(0) = 1
-    and carries the solver's (physical) sign convention, so its Taylor
-    coefficients are the walk amplitudes directly.
+    Requires integral edge lengths.  The two channels share one denominator,
+    normalized to den(0) = 1, that keeps only the modes the leads couple to,
+    so it has no roots on the unit circle.  The form carries the solver's
+    (physical) sign convention, so its Taylor coefficients are the walk
+    amplitudes directly.
     """
     if channel not in ("transmission", "reflection"):
         raise ValueError(f"channel must be transmission or reflection, got {channel!r}")
-    system = assemble_bond_system(graph)
-    bond_lengths = np.repeat(integral_lengths(graph), 2)
-    total = int(bond_lengths.sum())
+    system = assemble_bond_system(subdivide_integral(graph))
+    basis = _coupled_basis(system.smatrix)
+    smat = basis.conj().T @ system.smatrix @ basis
+    inj = basis.conj().T @ system.inj
+    if channel == "transmission":
+        out, direct = system.out_t @ basis, system.direct_t
+    else:
+        out, direct = system.out_r @ basis, system.direct_r
+    order = smat.shape[0]
 
-    n = 1 << max(3, int(np.ceil(np.log2(8 * (total + 2)))))
+    n = 1 << max(3, int(np.ceil(np.log2(8 * (order + 2)))))
     rho = _EXTRACT_RHO
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     z = rho * np.exp(1j * theta)
 
-    powers = z[:, None] ** bond_lengths[None, :]
-    m = np.eye(system.bond_count, dtype=complex)[None] - powers[:, :, None] * system.smatrix
+    m = np.eye(order, dtype=complex)[None] - z[:, None, None] * smat
     dets = np.linalg.det(m)
-    a = np.linalg.solve(m, (powers * system.inj)[..., None])[..., 0]
-    if channel == "transmission":
-        vals = a @ system.out_t + system.direct_t
-    else:
-        vals = a @ system.out_r + system.direct_r
+    a = np.linalg.solve(m, (z[:, None] * inj)[..., None])[..., 0]
+    vals = a @ out + direct
 
     def poly_coeffs(samples, degree):
         raw = np.fft.fft(samples)[: degree + 1]
@@ -317,8 +336,8 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
         # Undo the half-sample rotation and the sampling radius.
         return raw * np.exp(-1j * np.pi * k / n) / n * rho ** (-k.astype(float))
 
-    den = poly_coeffs(dets, total)
-    num = poly_coeffs(vals * dets, total)
+    den = poly_coeffs(dets, order)
+    num = poly_coeffs(vals * dets, order)
     num = num / den[0]
     den = den / den[0]
 

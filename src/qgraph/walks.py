@@ -253,17 +253,18 @@ def walk_stats(series: WalkSeries, tolerance: float = 1e-8) -> WalkStats:
 def walk_stats_to_tolerance(
     amp: RationalAmplitude, tolerance: float = 1e-8, order_cap: int = 32768
 ) -> WalkStats:
-    """walk_stats with the truncation order grown until the tail certifies.
+    """walk_stats with the truncation order grown until the stats certify.
 
-    Doubles the order until the geometric tail bound drops below a tenth of
-    the tolerance (the stats then certify comfortably) or the cap is hit, in
-    which case walk_stats raises.
+    Doubles the order until walk_stats accepts the tail bound or the cap is
+    reached, in which case its TruncationError propagates.
     """
     order = 64
     while True:
-        series = taylor_coefficients(amp, order)
-        if series.tail_bound < tolerance / 10.0 or order >= order_cap:
-            return walk_stats(series, tolerance)
+        try:
+            return walk_stats(taylor_coefficients(amp, order), tolerance)
+        except TruncationError:
+            if order >= order_cap:
+                raise
         order *= 2
 
 
@@ -273,32 +274,19 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     Parseval turns the coefficient sums into circle averages:
     sum |c_m|^2 is the mean of |T|^2 and sum m |c_m|^2 the mean of
     Re[conj(T) z T'(z)].  Periodic trapezoid sums converge exponentially for
-    these analytic integrands; nodes are offset half a step so removable
-    points at z = 1 and z = -1 never coincide with a sample, and any other
-    near-zero denominator hit is patched by two-sided averaging.  P(m) is not
-    resolved by this route, so p_of_m comes back empty.
+    these analytic integrands.  Nodes are offset half a step, so the exact
+    removable points of the closed forms at z = 1 and z = -1 never coincide
+    with a sample; extracted forms are in lowest terms and have none.  P(m)
+    is not resolved by this route, so p_of_m comes back empty.
     """
-    rho = _genuine_pole_radius(amp)  # raises on a genuine unit-circle pole
-    del rho
+    _genuine_pole_radius(amp)  # raises on a genuine unit-circle pole
     dnum = npoly.polyder(amp.num)
     dden = npoly.polyder(amp.den)
-    den_scale = max(1.0, float(np.sum(np.abs(amp.den))))
 
     def integrands(theta):
         z = np.exp(1j * theta)
         nv = npoly.polyval(z, amp.num)
         dv = npoly.polyval(z, amp.den)
-        bad = np.abs(dv) < 1e-10 * den_scale
-        if np.any(bad):
-            safe = ~bad
-            w2 = np.empty_like(theta)
-            s1 = np.empty_like(theta)
-            w2[safe], s1[safe] = integrands(theta[safe])
-            lo2, lo1 = integrands(theta[bad] - 1e-6)
-            hi2, hi1 = integrands(theta[bad] + 1e-6)
-            w2[bad] = 0.5 * (lo2 + hi2)
-            s1[bad] = 0.5 * (lo1 + hi1)
-            return w2, s1
         t = nv / dv
         dt = (npoly.polyval(z, dnum) * dv - nv * npoly.polyval(z, dden)) / dv**2
         return np.abs(t) ** 2, np.real(np.conj(t) * z * dt)

@@ -176,6 +176,27 @@ def test_numerical_failures_exit_two(monkeypatch, capsys):
     assert "qgraph: numerical failure:" in captured.err
 
 
+def test_lapack_failures_exit_two(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure
+    def explode(graph):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("qgraph.cli.extract_rational_amplitude", explode)
+    code = main(["hitting", "--graph", "c3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "qgraph: numerical failure: Singular matrix" in captured.err
+
+
+@pytest.mark.parametrize("source", ["c4-c4", "c3-c4-c3"])
+def test_hitting_on_chains_with_trapped_modes(source, capsys):
+    code, out, err = run(capsys, "hitting", "--graph", source)
+    assert code == 0 and err == ""
+    values = {k: float(v) for k, v in (line.split(" = ") for line in out.splitlines())}
+    assert abs(values["h"] - values["h_quadrature"]) < 1e-8
+    assert abs(values["p_out"] - values["p_out_quadrature"]) < 1e-8
+
+
 def test_thread_env_does_not_change_output(monkeypatch, capsys):
     args = ["sweep", "--graph", "c3-c4", "--kl-min", "0.1", "--kl-max", "6.2",
             "--samples", "300"]

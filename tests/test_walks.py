@@ -121,12 +121,11 @@ def test_square_hitting_time_matches_exact_fraction():
     assert abs(stats.hitting_time - 155.0 / 72.0) < 1e-9
 
 
-@pytest.mark.parametrize("source", ["c3", "c4", "c3-c3"])
+@pytest.mark.parametrize(
+    "source", ["c3", "c4", "c3-c3", "c4-c4", "c3-c4-c3", "c3+c3", "c3+c4+c3"]
+)
 def test_quadrature_route_agrees_with_series(source):
-    if source.startswith("c") and "-" not in source:
-        graph = qg.make_cycle_graph(int(source[1:]))
-    else:
-        graph = qg.compose_series(qg.parse_series_shorthand(source))
+    graph = qg.compose_series(qg.parse_series_shorthand(source))
     amp = qg.extract_rational_amplitude(graph)
     series_stats = qg.walk_stats_to_tolerance(amp)
     quad_stats = qg.walk_stats_by_quadrature(amp)
