@@ -1,23 +1,27 @@
-"""Transmission sweeps, symmetry checks, suppression bands, and peaks.
+"""Transmission sweeps, symmetry checks, suppression bands, peaks, exports.
 
-A sweep evaluates |T(kl)|^2 on a uniform grid.  Inside wide bands where the
-transmission is suppressed, chained cycle graphs develop very narrow
-resonances of full transmission; the detectors here locate those bands by
-interval arithmetic on the grid and then refine each peak against the
-solver itself (golden-section for the center, bisection for the half-height
-crossings), since the interesting widths are only a few grid steps wide.
+A sweep evaluates |T(kl)|^2 on a uniform grid, by Horner evaluation of the
+lowest-terms rational forms for integer-length graphs on grids long enough
+to pay for one extraction, and by the dense bond solver otherwise.  Inside
+wide bands where the transmission is suppressed, chained cycle graphs
+develop very narrow resonances of full transmission; the detectors here
+locate those bands by interval arithmetic on the grid and then refine each
+peak against the solver itself (golden-section for the center, bisection
+for the half-height crossings), since the interesting widths are only a few
+grid steps wide.  The grid therefore only seeds the search: every reported
+center, height and width is a solver evaluation.  All CSV and JSON output
+of sweeps and peaks is formatted here.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import QuantumGraph, atomic_write_text
-from .solver import SINGULAR_UNITARITY_TOL, scattering_or_limit, solve_many
+from .solver import SINGULAR_UNITARITY_TOL, _sweep_amplitudes, scattering_or_limit
 
 DEFAULT_BAND_FLOOR = 0.01
 FULL_TRANSMISSION_HEIGHT = 0.999
@@ -77,30 +81,21 @@ def sweep_transmission(
 ) -> Sweep:
     """Evaluate the two-port amplitudes on a uniform inclusive grid.
 
-    Grid points where the solve came back non-finite or visibly non-unitary
-    (on-shell singularities) are re-evaluated by the two-sided limit policy.
-    ``threads`` splits the grid into contiguous blocks solved concurrently;
-    results are written by index, so the output never depends on scheduling.
+    Graphs with integer edge lengths are evaluated from their lowest-terms
+    rational forms when the grid is long enough that one extraction costs
+    less than a dense bond solve per point; every other sweep uses the
+    solver.  On either route, grid points that came back non-finite or
+    visibly non-unitary (on-shell singularities) are re-evaluated by the
+    two-sided limit policy.  ``threads`` splits a solver-route grid into
+    contiguous blocks solved concurrently; results are written by index, so
+    the output never depends on scheduling or on the thread count.
     """
     if not (0 < kl_min < kl_max):
         raise ValueError(f"need 0 < kl_min < kl_max, got {kl_min!r}, {kl_max!r}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
     grid = np.linspace(kl_min, kl_max, int(samples))
-
-    nthreads = max(1, int(threads or 1))
-    if nthreads == 1 or len(grid) < 4 * nthreads:
-        t, r = solve_many(graph, grid)
-    else:
-        t = np.empty(len(grid), dtype=complex)
-        r = np.empty(len(grid), dtype=complex)
-        blocks = np.array_split(np.arange(len(grid)), nthreads)
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [
-                (idx, pool.submit(solve_many, graph, grid[idx])) for idx in blocks
-            ]
-            for idx, fut in futures:
-                t[idx], r[idx] = fut.result()
+    t, r = _sweep_amplitudes(graph, grid, max(1, int(threads or 1)))
 
     unitary_defect = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
     bad = ~np.isfinite(t) | ~np.isfinite(r) | (unitary_defect > SINGULAR_UNITARITY_TOL)
@@ -288,6 +283,17 @@ def sweep_to_csv(sweep: Sweep) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sweep_to_json(sweep: Sweep) -> str:
+    t2, r2 = sweep.t2, sweep.r2
+    rows = [
+        "  {" + f'"kl": {_fmt(sweep.kl[i])}, "re_t": {_fmt(sweep.t[i].real)}, '
+        f'"im_t": {_fmt(sweep.t[i].imag)}, "t2": {_fmt(t2[i])}, '
+        f'"r2": {_fmt(r2[i])}' + "}"
+        for i in range(len(sweep.kl))
+    ]
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 def write_sweep_csv(sweep: Sweep, path: str) -> None:
     atomic_write_text(path, sweep_to_csv(sweep))
 
@@ -303,6 +309,13 @@ def peaks_to_json(peaks) -> str:
             + "}"
         )
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+
+
+def peaks_to_csv(peaks) -> str:
+    lines = ["center,height,fwhm,band_lo,band_hi"]
+    for p in peaks:
+        lines.append(",".join(_fmt(v) for v in (p.center, p.height, p.width, *p.band)))
+    return "\n".join(lines) + "\n"
 
 
 def write_peaks_json(peaks, path: str) -> None:

@@ -23,8 +23,10 @@ import numpy as np
 from .analysis import (
     _fmt,
     detect_peaks,
+    peaks_to_csv,
     peaks_to_json,
     sweep_to_csv,
+    sweep_to_json,
     sweep_transmission,
 )
 from .compose import compose_series, parse_series_shorthand
@@ -113,16 +115,7 @@ def cmd_sweep(args) -> str:
     sweep = sweep_transmission(
         graph, args.kl_min, args.kl_max, args.samples, threads=_threads_from_env()
     )
-    if args.format == "csv":
-        return sweep_to_csv(sweep)
-    t2, r2 = sweep.t2, sweep.r2
-    rows = [
-        "  {" + f'"kl": {_fmt(sweep.kl[i])}, "re_t": {_fmt(sweep.t[i].real)}, '
-        f'"im_t": {_fmt(sweep.t[i].imag)}, "t2": {_fmt(t2[i])}, '
-        f'"r2": {_fmt(r2[i])}' + "}"
-        for i in range(len(sweep.kl))
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    return sweep_to_csv(sweep) if args.format == "csv" else sweep_to_json(sweep)
 
 
 def cmd_walk(args) -> str:
@@ -168,14 +161,7 @@ def cmd_peaks(args) -> str:
         graph, args.kl_min, args.kl_max, samples, threads=_threads_from_env()
     )
     peaks = detect_peaks(sweep, min_height=args.min_height)
-    if args.format == "json":
-        return peaks_to_json(peaks)
-    lines = ["center,height,fwhm,band_lo,band_hi"]
-    for p in peaks:
-        lines.append(
-            ",".join(_fmt(v) for v in (p.center, p.height, p.width, *p.band))
-        )
-    return "\n".join(lines) + "\n"
+    return peaks_to_json(peaks) if args.format == "json" else peaks_to_csv(peaks)
 
 
 def cmd_validate(args) -> str:

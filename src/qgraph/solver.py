@@ -17,10 +17,12 @@ everything uses dense LAPACK solves, batched over wavenumber grids.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .closedforms import LIMIT_OFFSET, RationalAmplitude
 from .graphs import QuantumGraph, subdivide_integral, validate_graph
@@ -299,6 +301,59 @@ def _coupled_basis(smatrix: np.ndarray) -> np.ndarray:
     return vecs[:, trapped < 0.5]
 
 
+def _sample_count(order: int) -> int:
+    """FFT samples the extractor takes for a reduced system of this order."""
+    return 1 << max(3, int(np.ceil(np.log2(8 * (order + 2)))))
+
+
+@lru_cache(maxsize=128)
+def _extract_channels(graph: QuantumGraph) -> tuple:
+    """Lowest-terms (transmission, reflection) forms of an integral graph.
+
+    One reduction and one batch of det/solve samples serve both channels,
+    which share the denominator.  Cached per graph object, like the
+    assembled bond system.
+    """
+    system = assemble_bond_system(subdivide_integral(graph))
+    basis = _coupled_basis(system.smatrix)
+    smat = basis.conj().T @ system.smatrix @ basis
+    inj = basis.conj().T @ system.inj
+    order = smat.shape[0]
+
+    n = _sample_count(order)
+    rho = _EXTRACT_RHO
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    z = rho * np.exp(1j * theta)
+
+    m = np.eye(order, dtype=complex)[None] - z[:, None, None] * smat
+    dets = np.linalg.det(m)
+    a = np.linalg.solve(m, (z[:, None] * inj)[..., None])[..., 0]
+
+    def poly_coeffs(samples, degree):
+        raw = np.fft.fft(samples)[: degree + 1]
+        k = np.arange(degree + 1)
+        # Undo the half-sample rotation and the sampling radius.
+        return raw * np.exp(-1j * np.pi * k / n) / n * rho ** (-k.astype(float))
+
+    raw_den = poly_coeffs(dets, order)
+    den = raw_den / raw_den[0]
+    # Trailing coefficients below the sampling noise floor are artifacts.
+    keep = np.abs(den) > 1e-11 * np.max(np.abs(den))
+    den = den[: keep.nonzero()[0].max() + 1]
+
+    amps = []
+    for channel, out, direct in (
+        ("transmission", system.out_t, system.direct_t),
+        ("reflection", system.out_r, system.direct_r),
+    ):
+        vals = a @ (out @ basis) + direct
+        num = poly_coeffs(vals * dets, order) / raw_den[0]
+        keepn = np.abs(num) > 1e-11 * max(float(np.max(np.abs(num))), 1e-30)
+        num = num[: keepn.nonzero()[0].max() + 1] if keepn.any() else np.zeros(1, complex)
+        amps.append(RationalAmplitude(num, den, family="custom", params=(channel,)))
+    return tuple(amps)
+
+
 def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission") -> RationalAmplitude:
     """Exact rational form of the transmission (or reflection) amplitude.
 
@@ -310,40 +365,45 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
     """
     if channel not in ("transmission", "reflection"):
         raise ValueError(f"channel must be transmission or reflection, got {channel!r}")
-    system = assemble_bond_system(subdivide_integral(graph))
-    basis = _coupled_basis(system.smatrix)
-    smat = basis.conj().T @ system.smatrix @ basis
-    inj = basis.conj().T @ system.inj
-    if channel == "transmission":
-        out, direct = system.out_t @ basis, system.direct_t
-    else:
-        out, direct = system.out_r @ basis, system.direct_r
-    order = smat.shape[0]
+    t_amp, r_amp = _extract_channels(graph)
+    return t_amp if channel == "transmission" else r_amp
 
-    n = 1 << max(3, int(np.ceil(np.log2(8 * (order + 2)))))
-    rho = _EXTRACT_RHO
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    z = rho * np.exp(1j * theta)
 
-    m = np.eye(order, dtype=complex)[None] - z[:, None, None] * smat
-    dets = np.linalg.det(m)
-    a = np.linalg.solve(m, (z[:, None] * inj)[..., None])[..., 0]
-    vals = a @ out + direct
+# ---------------------------------------------------------------------------
+# Sweep routing.  On an integer-length graph a sweep can evaluate the
+# lowest-terms forms by Horner's rule instead of factoring the nb x nb bond
+# matrix at every point.  Extraction factors two matrices of order at most
+# k = 2 * (total length), the bond count after subdivision, per FFT sample,
+# so the rational route is taken once the grid's dense work is at least
+# that large; short sweeps and long-edge graphs stay on the solver.
+# ---------------------------------------------------------------------------
 
-    def poly_coeffs(samples, degree):
-        raw = np.fft.fft(samples)[: degree + 1]
-        k = np.arange(degree + 1)
-        # Undo the half-sample rotation and the sampling radius.
-        return raw * np.exp(-1j * np.pi * k / n) / n * rho ** (-k.astype(float))
 
-    den = poly_coeffs(dets, order)
-    num = poly_coeffs(vals * dets, order)
-    num = num / den[0]
-    den = den / den[0]
+def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray, threads: int):
+    """(t, r) on a real grid, by the rational forms or by the dense solver.
 
-    # Trailing coefficients below the sampling noise floor are artifacts.
-    keep = np.abs(den) > 1e-11 * np.max(np.abs(den))
-    den = den[: keep.nonzero()[0].max() + 1]
-    keepn = np.abs(num) > 1e-11 * max(float(np.max(np.abs(num))), 1e-30)
-    num = num[: keepn.nonzero()[0].max() + 1] if keepn.any() else np.zeros(1, complex)
-    return RationalAmplitude(num, den, family="custom", params=(channel,))
+    Only the solver route uses ``threads``: it splits the grid into
+    contiguous blocks solved concurrently and written back by index, so the
+    result never depends on scheduling.
+    """
+    nb = assemble_bond_system(graph).bond_count
+    # Exact integers only: the forms subdivide rounded lengths, which would
+    # shift the phases of a length that is integral only to a tolerance.
+    if all(float(e.length).is_integer() for e in graph.edges):
+        k = 2 * int(sum(e.length for e in graph.edges))
+        if len(grid) * nb**3 >= 2 * _sample_count(k) * k**3:
+            t_amp, r_amp = _extract_channels(graph)
+            z = np.exp(1j * grid)
+            den = npoly.polyval(z, t_amp.den)
+            return npoly.polyval(z, t_amp.num) / den, npoly.polyval(z, r_amp.num) / den
+
+    if threads == 1 or len(grid) < 4 * threads:
+        return solve_many(graph, grid)
+    t = np.empty(len(grid), dtype=complex)
+    r = np.empty(len(grid), dtype=complex)
+    blocks = np.array_split(np.arange(len(grid)), threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [(idx, pool.submit(solve_many, graph, grid[idx])) for idx in blocks]
+        for idx, fut in futures:
+            t[idx], r[idx] = fut.result()
+    return t, r

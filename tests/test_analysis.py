@@ -9,6 +9,7 @@ import pytest
 
 import qgraph as qg
 from qgraph.analysis import peaks_to_json, sweep_to_csv
+from qgraph.solver import SINGULAR_UNITARITY_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,10 +48,61 @@ def test_sweep_covers_removable_points():
 
 def test_threaded_sweep_is_bit_identical():
     graph = qg.compose_series(qg.parse_series_shorthand("c3-c4"))
-    serial = qg.sweep_transmission(graph, 0.1, 6.2, 500, threads=1)
-    threaded = qg.sweep_transmission(graph, 0.1, 6.2, 500, threads=4)
-    assert np.array_equal(serial.t, threaded.t)
-    assert np.array_equal(serial.r, threaded.r)
+    # 500 points stay on the solver route, 5000 take the rational route
+    for samples in (500, 5000):
+        serial = qg.sweep_transmission(graph, 0.1, 6.2, samples, threads=1)
+        threaded = qg.sweep_transmission(graph, 0.1, 6.2, samples, threads=4)
+        assert np.array_equal(serial.t, threaded.t)
+        assert np.array_equal(serial.r, threaded.r)
+
+
+@pytest.mark.parametrize("text", ["c3-c3", "c4-c4", "c3-c4-c3"])
+def test_rational_route_sweep_matches_solver(text, monkeypatch):
+    # the full 62633-point grid of qgraph peaks, with the solver's reference
+    # repaired at its singular points by the limit policy
+    graph = qg.compose_series(qg.parse_series_shorthand(text))
+    samples = int(round((TWO_PI - 0.02) / 1e-4)) + 1
+    grid = np.linspace(0.01, TWO_PI - 0.01, samples)
+    t_ref, r_ref = qg.solve_many(graph, grid)
+    defect = np.abs(np.abs(t_ref) ** 2 + np.abs(r_ref) ** 2 - 1.0)
+    flagged = ~np.isfinite(t_ref) | (defect > SINGULAR_UNITARITY_TOL)
+    for i in np.nonzero(flagged)[0]:
+        t_ref[i] = qg.scattering_or_limit(graph, grid[i]).t_global
+
+    def no_solver(*args):
+        raise AssertionError("a rational-route sweep called the dense solver")
+
+    monkeypatch.setattr("qgraph.solver.solve_many", no_solver)
+    sweep = qg.sweep_transmission(graph, 0.01, TWO_PI - 0.01, samples)
+    assert np.array_equal(sweep.kl, grid)
+    assert np.max(np.abs(sweep.t2 - np.abs(t_ref) ** 2)) < 1e-10
+    assert np.max(np.abs(sweep.t2 + sweep.r2 - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "text, scale, samples",
+    [("c3-c4", 1.3, 5000), ("c3-c4", 1.0 + 1e-10, 5000),
+     ("c3-c4", 1.0, 500), ("c3-c3", 1.0, 200)],
+)
+def test_solver_route_sweep_is_exactly_solve_many(text, scale, samples):
+    # non-integer lengths (even within integral_lengths' rounding tolerance),
+    # and integer sweeps too short to pay for an extraction, keep the dense
+    # solver's arrays bit for bit
+    graph = qg.scale_lengths(qg.compose_series(qg.parse_series_shorthand(text)), scale)
+    sweep = qg.sweep_transmission(graph, 0.1, 6.2, samples)
+    t, r = qg.solve_many(graph, sweep.kl)
+    assert np.array_equal(sweep.t, t)
+    assert np.array_equal(sweep.r, r)
+
+
+@pytest.mark.parametrize("text", ["c3-c3", "c4-c4", "c3-c4-c3"])
+def test_peak_heights_are_solver_evaluations(text):
+    # the grid only seeds refinement; centers and heights come from the solver
+    graph = qg.compose_series(qg.parse_series_shorthand(text))
+    peaks = qg.detect_peaks(_peak_sweep(graph, resolution=1e-4))
+    assert peaks
+    for p in peaks:
+        assert p.height == qg.scattering_or_limit(graph, p.center).t2
 
 
 @pytest.mark.parametrize("source", ["c3", "c4", "c3-c3"])
