@@ -77,7 +77,6 @@ def sweep_transmission(
     kl_min: float,
     kl_max: float,
     samples: int,
-    threads: int | None = None,
 ) -> Sweep:
     """Evaluate the two-port amplitudes on a uniform inclusive grid.
 
@@ -86,16 +85,16 @@ def sweep_transmission(
     less than a dense bond solve per point; every other sweep uses the
     solver.  On either route, grid points that came back non-finite or
     visibly non-unitary (on-shell singularities) are re-evaluated by the
-    two-sided limit policy.  ``threads`` splits a solver-route grid into
-    contiguous blocks solved concurrently; results are written by index, so
-    the output never depends on scheduling or on the thread count.
+    two-sided limit policy.  A solver-route grid of several batches is
+    solved on the usable cores (see ``solve_many``); the output does not
+    depend on the core count.
     """
-    if not (0 < kl_min < kl_max):
-        raise ValueError(f"need 0 < kl_min < kl_max, got {kl_min!r}, {kl_max!r}")
+    if not (0 < kl_min < kl_max < math.inf):
+        raise ValueError(f"need 0 < kl_min < kl_max < inf, got {kl_min!r}, {kl_max!r}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
     grid = np.linspace(kl_min, kl_max, int(samples))
-    t, r = _sweep_amplitudes(graph, grid, max(1, int(threads or 1)))
+    t, r = _sweep_amplitudes(graph, grid)
 
     unitary_defect = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
     bad = ~np.isfinite(t) | ~np.isfinite(r) | (unitary_defect > SINGULAR_UNITARITY_TOL)

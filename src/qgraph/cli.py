@@ -5,7 +5,8 @@ cycle (c3 .. c99), a composition shorthand (c3+c3 joins cycles by merging
 vertices, c3-c4-c3 joins them through unit bridging edges), or a path to a
 JSON graph file.  Exit status is 0 on success, 1 on usage errors (unknown
 preset, malformed file, bad ranges), and 2 on numerical failures
-(unresolved singularities, truncation that cannot certify, poles, LAPACK).
+(unresolved singularities, truncation that cannot certify, poles, LAPACK)
+and when memory runs out.
 
 Numbers are printed with 17 significant digits and files are written
 atomically, so identical invocations produce bit-identical output.
@@ -84,19 +85,6 @@ def resolve_graph(source: str, length_scale: float = 1.0):
     return graph
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("QGRAPH_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"QGRAPH_THREADS: expected an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"QGRAPH_THREADS: must be >= 1, got {n}")
-    return n
-
-
 def _graph_of(args):
     if args.length_scale <= 0:
         raise ValueError(f"--length-scale: must be positive, got {args.length_scale}")
@@ -112,9 +100,7 @@ def cmd_transmit(args) -> str:
 
 def cmd_sweep(args) -> str:
     graph = _graph_of(args)
-    sweep = sweep_transmission(
-        graph, args.kl_min, args.kl_max, args.samples, threads=_threads_from_env()
-    )
+    sweep = sweep_transmission(graph, args.kl_min, args.kl_max, args.samples)
     return sweep_to_csv(sweep) if args.format == "csv" else sweep_to_json(sweep)
 
 
@@ -152,14 +138,12 @@ def cmd_peaks(args) -> str:
     graph = _graph_of(args)
     if args.resolution <= 0:
         raise ValueError(f"--resolution: must be positive, got {args.resolution}")
-    if not (0 < args.kl_min < args.kl_max):
+    if not (0 < args.kl_min < args.kl_max < np.inf):
         raise ValueError(
-            f"--kl-min/--kl-max: need 0 < min < max, got {args.kl_min}, {args.kl_max}"
+            f"--kl-min/--kl-max: need 0 < min < max < inf, got {args.kl_min}, {args.kl_max}"
         )
     samples = int(round((args.kl_max - args.kl_min) / args.resolution)) + 1
-    sweep = sweep_transmission(
-        graph, args.kl_min, args.kl_max, samples, threads=_threads_from_env()
-    )
+    sweep = sweep_transmission(graph, args.kl_min, args.kl_max, samples)
     peaks = detect_peaks(sweep, min_height=args.min_height)
     return peaks_to_json(peaks) if args.format == "json" else peaks_to_csv(peaks)
 
@@ -220,6 +204,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError but is a numerical failure.
         print(f"qgraph: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"qgraph: out of memory: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"qgraph: error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ everything uses dense LAPACK solves, batched over wavenumber grids.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,74 +92,52 @@ class ScatteringResult:
 
 def assemble_bond_system(graph: QuantumGraph) -> BondSystem:
     """Build S, the injection vector, and the readout rows for a valid graph."""
-    report = validate_graph(graph)
-    if not report.ok:
-        raise ValueError("cannot assemble an invalid graph:\n" + str(report))
-    if len(graph.leads) != 2:
-        raise ValueError(f"scattering needs exactly 2 leads, got {len(graph.leads)}")
     return _assemble_cached(graph)
 
 
 @lru_cache(maxsize=128)
 def _assemble_cached(graph: QuantumGraph) -> BondSystem:
-    ends = [(e.u, e.v) for e in graph.edges]
-    nbonds = 2 * len(ends)
+    # Graphs are immutable and hash by identity, so each is validated once;
+    # an invalid one raises on every call, since exceptions are not cached.
+    report = validate_graph(graph)
+    if not report.ok:
+        raise ValueError("cannot assemble an invalid graph:\n" + str(report))
+    if len(graph.leads) != 2:
+        raise ValueError(f"scattering needs exactly 2 leads, got {len(graph.leads)}")
 
-    # Ports at a vertex: incident edge ends sorted by (edge index, end),
-    # then leads in channel order.  This fixes every matrix row/column.
-    port_index = {}
-    for vid in graph.vertex_ids:
-        keys = [
-            (ei, end)
-            for ei, (u, v) in enumerate(ends)
-            for end in (0, 1)
-            if (u, v)[end] == vid
-        ]
-        keys.sort()
-        keys += [("lead", li) for li, lv in enumerate(graph.leads) if lv == vid]
-        port_index[vid] = {key: pos for pos, key in enumerate(keys)}
+    # Ports at a vertex: incident edge ends in (edge index, end) order, then
+    # leads in channel order.  This fixes every matrix row/column.  Bond
+    # 2e+d departs from end d of edge e and arrives at end 1-d, so port
+    # (e, d) emits bond 2e+d and absorbs bond 2e+1-d.
+    emits = {vid: [] for vid in graph.vertex_ids}
+    for ei, e in enumerate(graph.edges):
+        emits[e.u].append(2 * ei)
+        emits[e.v].append(2 * ei + 1)
 
-    vmat = {vid: graph.vertex_matrix(vid) for vid in graph.vertex_ids}
-
-    # Bond 2e+d departs from end d of edge e and arrives at end 1-d.
+    nbonds = 2 * len(graph.edges)
     smatrix = np.zeros((nbonds, nbonds), dtype=complex)
-    for ei, (u, v) in enumerate(ends):
-        for arr_end in (0, 1):
-            vid = (u, v)[arr_end]
-            b_in = 2 * ei + (1 - arr_end)
-            col = port_index[vid][(ei, arr_end)]
-            m = vmat[vid]
-            for (kind, idx), row in port_index[vid].items():
-                if kind == "lead":
-                    continue
-                b_out = 2 * kind + idx
-                smatrix[b_out, b_in] = m[row, col]
-
-    v_in, v_out = graph.leads
-    lead_in = port_index[v_in][("lead", 0)]
-    lead_out = port_index[v_out][("lead", 1)]
-
     inj = np.zeros(nbonds, dtype=complex)
-    for (kind, idx), row in port_index[v_in].items():
-        if kind != "lead":
-            inj[2 * kind + idx] = vmat[v_in][row, lead_in]
-
-    # Readout rows: a bond arriving at a lead's vertex scatters into that lead.
     out_t = np.zeros(nbonds, dtype=complex)
     out_r = np.zeros(nbonds, dtype=complex)
-    for out, vid, lead in ((out_t, v_out, lead_out), (out_r, v_in, lead_in)):
-        for ei, (u, v) in enumerate(ends):
-            for arr_end in (0, 1):
-                if (u, v)[arr_end] == vid:
-                    col = port_index[vid][(ei, arr_end)]
-                    out[2 * ei + (1 - arr_end)] = vmat[vid][lead, col]
-
-    direct_r = complex(vmat[v_in][lead_in, lead_in])
-    direct_t = complex(vmat[v_in][lead_out, lead_in]) if v_out == v_in else 0.0
+    v_in, v_out = graph.leads
+    for vid, emitted in emits.items():
+        m = graph.vertex_matrix(vid)
+        absorbed = [b ^ 1 for b in emitted]
+        k = len(emitted)
+        smatrix[np.ix_(emitted, absorbed)] = m[:k, :k]
+        # A lead's column feeds the bonds leaving its vertex; its row reads
+        # out the bonds arriving there.
+        if vid == v_in:
+            inj[emitted] = m[:k, k]
+            out_r[absorbed] = m[k, :k]
+            direct_r = complex(m[k, k])
+            direct_t = complex(m[k + 1, k]) if v_out == v_in else 0.0
+        if vid == v_out:
+            out_t[absorbed] = m[k + (v_out == v_in), :k]
 
     lengths = np.repeat([e.length for e in graph.edges], 2).astype(float)
     bond_ends = tuple(
-        (u, v) if d == 0 else (v, u) for (u, v) in ends for d in (0, 1)
+        (e.u, e.v) if d == 0 else (e.v, e.u) for e in graph.edges for d in (0, 1)
     )
     for arr in (smatrix, lengths, inj, out_t, out_r):
         arr.setflags(write=False)
@@ -179,12 +158,21 @@ def _solve_bonds(system: BondSystem, kl: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, rhs[..., None])[..., 0]
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def solve_many(graph: QuantumGraph, kl: np.ndarray):
     """Vectorized (t, r) over an array of wavenumbers; no singularity policy.
 
     Points where the system is near-singular come back non-finite or far from
-    unitary; sweep-level code repairs them.  Evaluation is batched to bound
-    peak memory, and results are deterministic for a fixed input order.
+    unitary; sweep-level code repairs them.  The grid is solved in batches of
+    bounded memory; a grid of several batches is spread over the usable
+    cores, one batch per task writing its own slice of the output.  Batch
+    boundaries do not depend on the core count, so neither do the results.
     """
     system = assemble_bond_system(graph)
     kl = np.asarray(kl)
@@ -193,10 +181,20 @@ def solve_many(graph: QuantumGraph, kl: np.ndarray):
     step = max(1, _BATCH_ELEMENTS // (nb * nb))
     t = np.empty(flat.shape, dtype=complex)
     r = np.empty(flat.shape, dtype=complex)
-    for lo in range(0, flat.size, step):
+
+    def solve_batch(lo):
         a = _solve_bonds(system, flat[lo:lo + step])
         t[lo:lo + step] = a @ system.out_t + system.direct_t
         r[lo:lo + step] = a @ system.out_r + system.direct_r
+
+    starts = range(0, flat.size, step)
+    workers = min(len(starts), _usable_cores())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(solve_batch, starts))
+    else:
+        for lo in starts:
+            solve_batch(lo)
     if kl.ndim == 0:
         return t[0], r[0]
     return t, r
@@ -205,12 +203,14 @@ def solve_many(graph: QuantumGraph, kl: np.ndarray):
 def scattering_matrix(graph: QuantumGraph, kl) -> ScatteringResult:
     """Two-port amplitudes at one wavenumber, real or complex.
 
-    Real kl must be nonzero; complex kl must keep |e^{i kl}| <= 1 + 1e-9
-    (no exponential growth along the edges).  A numerically singular on-shell
-    solve raises ShellSingularityError so the caller can apply the two-sided
-    limit policy.
+    kl must be finite and, if real, nonzero; complex kl must keep
+    |e^{i kl}| <= 1 + 1e-9 (no exponential growth along the edges).  A
+    numerically singular on-shell solve raises ShellSingularityError so the
+    caller can apply the two-sided limit policy.
     """
     kl = complex(kl)
+    if not np.isfinite(kl):
+        raise ValueError(f"kl must be finite, got {kl!r}")
     if kl.imag == 0.0:
         if kl.real == 0.0:
             raise ValueError("kl must be nonzero")
@@ -379,13 +379,8 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
 # ---------------------------------------------------------------------------
 
 
-def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray, threads: int):
-    """(t, r) on a real grid, by the rational forms or by the dense solver.
-
-    Only the solver route uses ``threads``: it splits the grid into
-    contiguous blocks solved concurrently and written back by index, so the
-    result never depends on scheduling.
-    """
+def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
+    """(t, r) on a real grid, by the rational forms or by the dense solver."""
     nb = assemble_bond_system(graph).bond_count
     # Exact integers only: the forms subdivide rounded lengths, which would
     # shift the phases of a length that is integral only to a tolerance.
@@ -396,14 +391,4 @@ def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray, threads: int):
             z = np.exp(1j * grid)
             den = npoly.polyval(z, t_amp.den)
             return npoly.polyval(z, t_amp.num) / den, npoly.polyval(z, r_amp.num) / den
-
-    if threads == 1 or len(grid) < 4 * threads:
-        return solve_many(graph, grid)
-    t = np.empty(len(grid), dtype=complex)
-    r = np.empty(len(grid), dtype=complex)
-    blocks = np.array_split(np.arange(len(grid)), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(idx, pool.submit(solve_many, graph, grid[idx])) for idx in blocks]
-        for idx, fut in futures:
-            t[idx], r[idx] = fut.result()
-    return t, r
+    return solve_many(graph, grid)

@@ -35,6 +35,8 @@ def test_sweep_rejects_bad_ranges():
         qg.sweep_transmission(graph, 2.0, 1.0, 10)
     with pytest.raises(ValueError):
         qg.sweep_transmission(graph, 0.5, 1.0, 1)
+    with pytest.raises(ValueError):
+        qg.sweep_transmission(graph, 0.5, np.inf, 10)
 
 
 def test_sweep_covers_removable_points():
@@ -44,16 +46,6 @@ def test_sweep_covers_removable_points():
     i = np.argmin(np.abs(sweep.kl - np.pi))
     assert abs(sweep.kl[i] - np.pi) < 1e-12
     assert abs(sweep.t2[i] - 1.0) < 1e-9
-
-
-def test_threaded_sweep_is_bit_identical():
-    graph = qg.compose_series(qg.parse_series_shorthand("c3-c4"))
-    # 500 points stay on the solver route, 5000 take the rational route
-    for samples in (500, 5000):
-        serial = qg.sweep_transmission(graph, 0.1, 6.2, samples, threads=1)
-        threaded = qg.sweep_transmission(graph, 0.1, 6.2, samples, threads=4)
-        assert np.array_equal(serial.t, threaded.t)
-        assert np.array_equal(serial.r, threaded.r)
 
 
 @pytest.mark.parametrize("text", ["c3-c3", "c4-c4", "c3-c4-c3"])

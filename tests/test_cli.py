@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,9 @@ def test_resolve_graph_prefers_presets():
          "--samples", "10"],
         ["peaks", "--graph", "c3", "--resolution", "-0.1"],
         ["walk", "--graph", "c3+c4-c3"],
+        ["sweep", "--graph", "c3", "--kl-min", "0.1", "--kl-max", "inf",
+         "--samples", "10"],
+        ["peaks", "--graph", "c3", "--kl-max", "inf"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
@@ -188,6 +192,29 @@ def test_lapack_failures_exit_two(monkeypatch, capsys):
     assert "qgraph: numerical failure: Singular matrix" in captured.err
 
 
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    # an oversized grid fails to allocate; that is a failure, not a traceback
+    def explode(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr("qgraph.cli.sweep_transmission", explode)
+    code = main(["sweep", "--graph", "c3", "--kl-min", "0.1", "--kl-max", "1",
+                 "--samples", "100000000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "qgraph: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_wavenumber_exits_one(value, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["transmit", "--graph", "c3", f"--kl={value}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("qgraph: error: kl must be finite")
+
+
 @pytest.mark.parametrize("source", ["c4-c4", "c3-c4-c3"])
 def test_hitting_on_chains_with_trapped_modes(source, capsys):
     code, out, err = run(capsys, "hitting", "--graph", source)
@@ -205,16 +232,6 @@ def test_thread_env_does_not_change_output(monkeypatch, capsys):
     monkeypatch.setenv("QGRAPH_THREADS", "4")
     _, threaded, _ = run(capsys, *args)
     assert serial == threaded
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_bad_thread_env_exits_one(value, monkeypatch, capsys):
-    monkeypatch.setenv("QGRAPH_THREADS", value)
-    code = main(["sweep", "--graph", "c3", "--kl-min", "0.5", "--kl-max", "1.5",
-                 "--samples", "10"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "QGRAPH_THREADS" in captured.err
 
 
 def test_identical_invocations_are_bit_identical(capsys):

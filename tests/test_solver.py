@@ -1,5 +1,6 @@
 """Bond-system scattering solver: anchors, invariants, singular limits."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -76,9 +77,80 @@ def test_bond_system_layout_for_triangle():
     assert abs(system.direct_r + 1.0 / 3.0) < 1e-15
 
 
+def test_bond_system_layout_with_shared_lead_vertex_and_self_loop():
+    # Vertex 1 carries edge 0's end 0 and both leads; vertex 2 carries edge
+    # 0's end 1 and both ends of the self-loop edge 1.  Ports run over edge
+    # ends in (edge, end) order, then leads; port (e, d) emits bond 2e+d and
+    # absorbs bond 2e+1-d.  Both vertex matrices are custom and non-symmetric.
+    rng = np.random.default_rng(7)
+    a, b = (np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+            for _ in range(2))
+    assert not np.allclose(a, a.T) and not np.allclose(b, b.T)
+    graph = qg.QuantumGraph(
+        vertex_ids=(1, 2),
+        boundary=(a, b),
+        edges=(qg.Edge(1, 2, 1.0), qg.Edge(2, 2, 2.0)),
+        leads=(1, 1),
+    )
+    system = qg.assemble_bond_system(graph)
+    smatrix = np.zeros((4, 4), dtype=complex)
+    smatrix[0, 1] = a[0, 0]
+    # vertex 2 ports: 0 emits 1 absorbs 0, 1 emits 2 absorbs 3, 2 emits 3 absorbs 2
+    for row, b_out in enumerate((1, 2, 3)):
+        for col, b_in in enumerate((0, 3, 2)):
+            smatrix[b_out, b_in] = b[row, col]
+    assert np.array_equal(system.smatrix, smatrix)
+    assert np.array_equal(system.lengths, [1.0, 1.0, 2.0, 2.0])
+    assert np.array_equal(system.inj, [a[0, 1], 0, 0, 0])
+    assert np.array_equal(system.out_r, [0, a[1, 0], 0, 0])
+    assert np.array_equal(system.out_t, [0, a[2, 0], 0, 0])
+    assert system.direct_r == a[1, 1] and system.direct_t == a[2, 1]
+    assert system.bond_ends == ((1, 2), (2, 1), (2, 2), (2, 2))
+    res = qg.scattering_matrix(graph, 1.3)
+    assert abs(res.t2 + res.r2 - 1.0) < 1e-12
+
+
+def test_solve_many_is_bit_identical_across_worker_counts(monkeypatch):
+    import qgraph.solver as solver_mod
+
+    graph = qg.scale_lengths(qg.compose_series(qg.parse_series_shorthand("c3-c4-c3")), 1.3)
+    kl = np.linspace(0.01, 6.2, 10_000)
+    step = solver_mod._BATCH_ELEMENTS // (2 * graph.num_edges) ** 2
+    assert len(kl) > 2 * step  # at least three batches
+    clean = solver_mod._solve_bonds
+    threads = set()
+
+    def spy(system, kl):
+        threads.add(threading.get_ident())
+        return clean(system, kl)
+
+    monkeypatch.setattr(solver_mod, "_solve_bonds", spy)
+    results = []
+    for cores in (1, 4):
+        monkeypatch.setattr(solver_mod, "_usable_cores", lambda n=cores: n)
+        threads.clear()
+        results.append(qg.solve_many(graph, kl))
+        assert (threads == {threading.get_ident()}) == (cores == 1)
+    (t1, r1), (t4, r4) = results
+    assert np.array_equal(t1, t4) and np.array_equal(r1, r4)
+    # a grid of one batch runs inline, whatever the core count
+    threads.clear()
+    qg.scattering_matrix(graph, 1.7)
+    assert threads == {threading.get_ident()}
+
+
 def test_assemble_requires_two_leads():
     with pytest.raises(ValueError):
         qg.assemble_bond_system(qg.strip_leads(qg.make_cycle_graph(3)))
+
+
+def test_invalid_graph_raises_on_every_call():
+    # assembly is cached per graph, but a failed validation is not
+    graph = qg.make_cycle_graph(3)
+    bad = replace(graph, edges=(qg.Edge(1, 2, -1.0),) + graph.edges[1:])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-positive length"):
+            qg.scattering_matrix(bad, 1.0)
 
 
 def test_square_half_turn_is_a_removable_singularity():
