@@ -8,8 +8,10 @@ cycle formula, and, for audit purposes, from a known-flawed variant of the
 NK-reduced forms that violates unitarity and exists only so tests can prove
 it wrong.
 
-Only |T|^2 is observable; different constructions of the same amplitude may
-disagree by a global sign.
+The two families are built in lowest terms and with the solver's sign, so
+at NK parameters they equal the forms extract_rational_amplitude returns.
+Every RationalAmplitude is taken to be in lowest terms: a vanishing
+denominator is a pole, never a removable 0/0.
 """
 
 from __future__ import annotations
@@ -21,16 +23,12 @@ from numpy.polynomial import polynomial as npoly
 
 from .graphs import UNITARITY_TOL_CHECK, unitarity_defect
 
-# Thresholds for the removable-singularity policy: both polynomial values
-# must be this small (coefficients are O(1)) before a 0/0 is declared.
+# A polynomial value this small (coefficients are O(1)) counts as zero.
 SINGULARITY_TOL = 1e-12
-# Offset used to evaluate a removable limit; averaging the two sides cancels
-# the odd error term, leaving a relative error of order offset^2.
-LIMIT_OFFSET = 1e-9
 
 
 class UnitCirclePoleError(ArithmeticError):
-    """Denominator vanished where the numerator did not."""
+    """The denominator vanished on (or inside) the unit circle."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +37,8 @@ class RationalAmplitude:
 
     ``family`` tags the construction ("c3-symmetric", "c4-symmetric",
     "cn-nk", "flawed-reduced", or "custom" for solver-extracted forms);
-    ``params`` records the defining parameters when there are any.
+    ``params`` records the defining parameters when there are any.  The
+    form must be in lowest terms: no root of den may also be a root of num.
     """
 
     num: np.ndarray
@@ -62,32 +61,33 @@ class RationalAmplitude:
         return max(len(self.num), len(self.den)) - 1
 
 
-def _eval_ratio(amp: RationalAmplitude, kl) -> complex:
-    z = np.exp(1j * np.asarray(kl))
-    return npoly.polyval(z, amp.num) / npoly.polyval(z, amp.den)
-
-
 def eval_amplitude(amp: RationalAmplitude, kl: float) -> complex:
-    """Evaluate the amplitude at z = e^{i kl} with a removable-0/0 policy.
+    """Evaluate the amplitude at z = e^{i kl}.
 
-    When numerator and denominator both vanish (below 1e-12) the value is the
-    average of evaluations at kl +- 1e-9, which approximates the limit with a
-    relative error of order 1e-18.  A vanishing denominator alone is a pole
-    and raises; it cannot happen on the unit circle for unitary parameter
-    sets.
+    The form is in lowest terms, so a denominator below 1e-12 is a pole and
+    raises; unitary parameter sets have none on the unit circle.
     """
     z = np.exp(1j * kl)
     dv = complex(npoly.polyval(z, amp.den))
-    if abs(dv) >= SINGULARITY_TOL:
-        return complex(npoly.polyval(z, amp.num)) / dv
-    nv = complex(npoly.polyval(z, amp.num))
-    if abs(nv) >= SINGULARITY_TOL:
-        raise UnitCirclePoleError(
-            f"denominator vanished at kl={kl!r} but the numerator did not"
-        )
-    return complex(
-        0.5 * (_eval_ratio(amp, kl - LIMIT_OFFSET) + _eval_ratio(amp, kl + LIMIT_OFFSET))
-    )
+    if abs(dv) < SINGULARITY_TOL:
+        raise UnitCirclePoleError(f"denominator vanished at kl={kl!r}")
+    return complex(npoly.polyval(z, amp.num)) / dv
+
+
+def _lowest_terms(num, den, family: str, params: tuple) -> RationalAmplitude:
+    """Divide (1 - z) and (1 + z) out of num and den while both vanish there.
+
+    These common roots are trapped modes at kl = 0 and kl = pi: standing
+    waves with nodes at the lead vertices, which no lead feeds or sees.
+    """
+    for root in (1.0, -1.0):
+        w = root ** np.arange(max(len(num), len(den)))  # w[:len(p)] @ p = p(root)
+        while len(den) > 1 and all(
+            abs(w[: len(p)] @ p) < SINGULARITY_TOL * np.sum(np.abs(p)) for p in (num, den)
+        ):
+            # Synthetic division by (1 - root z): q_k = p_k + root q_(k-1).
+            num, den = ((w[: len(p)] * np.cumsum(w[: len(p)] * p))[:-1] for p in (num, den))
+    return RationalAmplitude(num, den, family=family, params=params)
 
 
 def _check_symmetric_unitary(r, t, rp, tp, lead_degree: int) -> None:
@@ -142,7 +142,7 @@ def symmetric_c3_amplitude(r, t, r3, t3) -> RationalAmplitude:
         ],
         dtype=complex,
     )
-    return RationalAmplitude(num, den, family="c3-symmetric", params=(r, t, r3, t3))
+    return _lowest_terms(num, den, "c3-symmetric", (r, t, r3, t3))
 
 
 def symmetric_c4_amplitude(r, t, rp, tp) -> RationalAmplitude:
@@ -183,31 +183,32 @@ def symmetric_c4_amplitude(r, t, rp, tp) -> RationalAmplitude:
         ],
         dtype=complex,
     )
-    return RationalAmplitude(num, den, family="c4-symmetric", params=(r, t, rp, tp))
+    return _lowest_terms(num, den, "c4-symmetric", (r, t, rp, tp))
 
 
 def cycle_nk_amplitude(n: int) -> RationalAmplitude:
     """NK cycle amplitude for leads on adjacent vertices of an n-cycle.
 
-    Numerator 4 (z^n - 1)(z + z^(n-1)); denominator
-    9 - z^2 - z^(2(n-1)) - 8 z^n + z^(2n).  Agrees with the symmetric C3/C4
-    amplitudes at NK parameters up to a global sign.
+    Numerator 4 (1 - z^n)(z + z^(n-1)) and denominator
+    9 - z^2 - z^(2(n-1)) - 8 z^n + z^(2n), with (1 - z), and for even n also
+    (1 + z), divided out.  Equals the symmetric C3/C4 amplitudes at NK
+    parameters and, sign included, extract_rational_amplitude(make_cycle_graph(n)).
     """
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise ValueError(f"cycle size must be an integer >= 3, got {n!r}")
     n = int(n)
     num = np.zeros(2 * n, dtype=complex)
-    num[1] += -4
-    num[n - 1] += -4
-    num[n + 1] += 4
-    num[2 * n - 1] += 4
+    num[1] += 4
+    num[n - 1] += 4
+    num[n + 1] += -4
+    num[2 * n - 1] += -4
     den = np.zeros(2 * n + 1, dtype=complex)
     den[0] += 9
     den[2] += -1
     den[2 * (n - 1)] += -1
     den[n] += -8
     den[2 * n] += 1
-    return RationalAmplitude(num, den, family="cn-nk", params=(n,))
+    return _lowest_terms(num, den, "cn-nk", (n,))
 
 
 def flawed_reduced_amplitude(n: int) -> RationalAmplitude:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,6 +113,11 @@ class QuantumGraph:
         object.__setattr__(self, "boundary", tuple(bcs))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "leads", tuple(int(v) for v in self.leads))
+        # Per-vertex lookups, built once; the first of duplicate ids wins.
+        ends = [v for e in self.edges for v in (e.u, e.v)] + list(self.leads)
+        object.__setattr__(self, "_degrees", Counter(ends))
+        indices = {v: i for i, v in reversed(list(enumerate(self.vertex_ids)))}
+        object.__setattr__(self, "_indices", indices)
 
     @property
     def num_vertices(self) -> int:
@@ -123,17 +129,13 @@ class QuantumGraph:
 
     def vertex_index(self, vid: int) -> int:
         try:
-            return self.vertex_ids.index(vid)
-        except ValueError:
+            return self._indices[vid]
+        except KeyError:
             raise KeyError(f"unknown vertex id {vid}") from None
 
     def degree(self, vid: int) -> int:
         """Total degree: incident edge ends (self-loops count twice) plus leads."""
-        d = 0
-        for e in self.edges:
-            d += (e.u == vid) + (e.v == vid)
-        d += sum(1 for lv in self.leads if lv == vid)
-        return d
+        return self._degrees[vid]
 
     def bc_of(self, vid: int):
         return self.boundary[self.vertex_index(vid)]
@@ -188,9 +190,9 @@ def strip_leads(graph: QuantumGraph) -> QuantumGraph:
 
 
 def scale_lengths(graph: QuantumGraph, factor: float) -> QuantumGraph:
-    """Multiply every edge length by a positive factor."""
-    if not (factor > 0):
-        raise ValueError(f"length scale must be positive, got {factor!r}")
+    """Multiply every edge length by a positive finite factor."""
+    if not (0 < factor < np.inf):
+        raise ValueError(f"length scale must be positive and finite, got {factor!r}")
     edges = tuple(Edge(e.u, e.v, e.length * factor) for e in graph.edges)
     return replace(graph, edges=edges)
 
@@ -215,9 +217,10 @@ class ValidationReport:
 def validate_graph(graph: QuantumGraph) -> ValidationReport:
     """Check structural and spectral invariants, reporting every violation.
 
-    Checks: unique vertex ids, edge/lead references, positive lengths, lead
-    count 0 or 2, connectivity, and for custom boundary matrices squareness,
-    dimension equal to the vertex degree, and unitarity within 1e-12.
+    Checks: unique vertex ids, edge/lead references, positive finite
+    lengths, lead count 0 or 2, connectivity, and for custom boundary
+    matrices squareness, dimension equal to the vertex degree, and unitarity
+    within 1e-12.
     """
     problems = []
     ids = graph.vertex_ids
@@ -237,6 +240,8 @@ def validate_graph(graph: QuantumGraph) -> ValidationReport:
                 problems.append(f"edge {i} references unknown vertex {end}")
         if not (e.length > 0):
             problems.append(f"edge {i} has non-positive length {e.length}")
+        elif not (e.length < np.inf):
+            problems.append(f"edge {i} has non-finite length {e.length}")
 
     for li, lv in enumerate(graph.leads):
         if lv not in seen:
@@ -432,7 +437,7 @@ def integral_lengths(graph: QuantumGraph, tol: float = 1e-9):
     """
     out = []
     for i, e in enumerate(graph.edges):
-        q = round(e.length)
+        q = round(e.length) if np.isfinite(e.length) else 0
         if q < 1 or abs(e.length - q) > tol:
             raise ValueError(
                 f"edge {i} has non-integral length {e.length!r}; "
@@ -442,14 +447,28 @@ def integral_lengths(graph: QuantumGraph, tol: float = 1e-9):
     return out
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where os.sysconf cannot tell."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
 def subdivide_integral(graph: QuantumGraph) -> QuantumGraph:
     """Split every edge of integer length q into q unit edges.
 
     The inserted vertices are NK of degree 2 (r = 0, t = 1), so the scattering
     problem is exactly unchanged; the rewrite just makes every traversal a
-    single unit step, which the walk power iteration relies on.
+    single unit step, which the walk power iteration relies on.  Raises
+    MemoryError up front if the result's dense bond matrix (16 k^2 bytes,
+    k = 2 * total length) would not fit in physical memory.
     """
     lengths = integral_lengths(graph)
+    bonds = 2.0 * sum(e.length for e in graph.edges)
+    if 16.0 * bonds * bonds > _physical_memory():
+        raise MemoryError(f"subdividing into {bonds:.3g} unit bonds needs a dense "
+                          f"{bonds:.3g}^2 bond matrix, more than physical memory")
     next_id = max(graph.vertex_ids) + 1
     ids = list(graph.vertex_ids)
     bcs = list(graph.boundary)

@@ -25,13 +25,15 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .closedforms import LIMIT_OFFSET, RationalAmplitude
+from .closedforms import RationalAmplitude
 from .graphs import QuantumGraph, subdivide_integral, validate_graph
 
 # A solve at real kl whose output breaks |t|^2 + |r|^2 = 1 worse than this is
 # treated as on-shell singular (the matrix is numerically rank deficient at a
 # perfectly trapped mode); callers fall back to the two-sided limit policy.
 SINGULAR_UNITARITY_TOL = 1e-6
+# Half-width of the two-sided limit that scattering_limit averages.
+LIMIT_OFFSET = 1e-9
 
 # Element budget per LAPACK batch; keeps peak memory modest on fine sweeps.
 _BATCH_ELEMENTS = 1 << 21
@@ -303,7 +305,8 @@ def _coupled_basis(smatrix: np.ndarray) -> np.ndarray:
 
 def _sample_count(order: int) -> int:
     """FFT samples the extractor takes for a reduced system of this order."""
-    return 1 << max(3, int(np.ceil(np.log2(8 * (order + 2)))))
+    # The smallest power of two >= 8 (order + 2), exact for any integer order.
+    return 1 << max(3, (8 * (order + 2) - 1).bit_length())
 
 
 @lru_cache(maxsize=128)
@@ -385,7 +388,7 @@ def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
     # Exact integers only: the forms subdivide rounded lengths, which would
     # shift the phases of a length that is integral only to a tolerance.
     if all(float(e.length).is_integer() for e in graph.edges):
-        k = 2 * int(sum(e.length for e in graph.edges))
+        k = 2 * sum(int(e.length) for e in graph.edges)
         if len(grid) * nb**3 >= 2 * _sample_count(k) * k**3:
             t_amp, r_amp = _extract_channels(graph)
             z = np.exp(1j * grid)

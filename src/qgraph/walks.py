@@ -28,11 +28,6 @@ from .solver import assemble_bond_system
 # estimate; observable modes of an open graph decay strictly.
 MARGINAL_MODE_CUTOFF = 1e-9
 
-# A root of the denominator counts as a genuine pole only when the numerator
-# is clearly nonzero there; common roots are removable and do not limit the
-# coefficient decay.
-_GENUINE_POLE_NUM_TOL = 1e-8
-
 
 class TruncationError(ArithmeticError):
     """The truncated series cannot certify the requested tolerance."""
@@ -119,58 +114,36 @@ def _geometric_tail(coeffs: np.ndarray, order: int, rho: float) -> float:
     return float(np.exp(log_tail))
 
 
-def _genuine_pole_radius(amp: RationalAmplitude):
-    """Smallest modulus among non-removable denominator roots, or None.
+def _pole_radius(amp: RationalAmplitude):
+    """Smallest modulus among the denominator roots, or None.
 
-    Raises if a genuine pole sits on (or inside) the unit circle, which
-    cannot happen for flux-conserving amplitudes.
+    The form is in lowest terms, so every root is a pole; one on (or
+    inside) the unit circle raises, as flux conservation rules it out.
     """
     den = np.trim_zeros(amp.den, "b")
     if len(den) <= 1:
         return None
-    roots = np.roots(den[::-1])
-    num_scale = max(1.0, float(np.sum(np.abs(amp.num))))
-    genuine = [
-        z for z in roots
-        if abs(npoly.polyval(z, amp.num)) > _GENUINE_POLE_NUM_TOL * num_scale
-    ]
-    if not genuine:
-        return None
-    rho = min(abs(z) for z in genuine)
+    rho = float(np.min(np.abs(np.roots(den[::-1]))))
     if rho <= 1.0 + MARGINAL_MODE_CUTOFF:
         raise UnitCirclePoleError(
-            f"genuine pole at |z| = {rho:.12f}; the walk series does not decay"
+            f"pole at |z| = {rho:.12f}; the walk series does not decay"
         )
     return rho
-
-
-def _fix_sign(c: np.ndarray) -> np.ndarray:
-    """Flip the global sign so the first nonzero coefficient has Re > 0.
-
-    The shortest lead-to-lead path only crosses vertices forward, so for NK
-    graphs its amplitude is a product of positive transmissions; this pins
-    the physical sign that rational forms leave ambiguous.
-    """
-    idx = np.nonzero(np.abs(c) > 1e-12)[0]
-    if idx.size and c[idx[0]].real < 0:
-        return -c
-    return c
 
 
 def taylor_coefficients(amp: RationalAmplitude, max_order: int) -> WalkSeries:
     """Walk coefficients c_0..c_max_order of a rational amplitude.
 
-    Runs the linear recurrence induced by num = den * sum c_m z^m, then
-    normalizes the global sign (see _fix_sign).  The tail bound uses the
-    smallest genuine pole radius; series whose denominator divides the
-    numerator terminate exactly and get an exact residual instead.
+    Runs the linear recurrence induced by num = den * sum c_m z^m; the
+    coefficients keep the form's own sign.  The form must be in lowest
+    terms: the tail bound uses the smallest denominator root, and a root on
+    the unit circle raises even if the numerator shares it.  A constant
+    denominator gives a terminating series and an exact residual instead.
     """
     if max_order < 0:
         raise ValueError("max_order must be non-negative")
-    if abs(amp.den[0]) == 0:
-        raise ValueError("denominator constant term is zero")
-    c = _fix_sign(_recurrence(amp.num, amp.den, max_order))
-    rho = _genuine_pole_radius(amp)
+    c = _recurrence(amp.num, amp.den, max_order)
+    rho = _pole_radius(amp)
     if rho is not None:
         tail = _geometric_tail(c, max_order, rho)
     elif max_order >= len(amp.num) - 1:
@@ -256,8 +229,11 @@ def walk_stats_to_tolerance(
     """walk_stats with the truncation order grown until the stats certify.
 
     Doubles the order until walk_stats accepts the tail bound or the cap is
-    reached, in which case its TruncationError propagates.
+    reached, in which case its TruncationError propagates.  The tolerance
+    must lie in (0, inf).
     """
+    if not (0 < tolerance < np.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     order = 64
     while True:
         try:
@@ -274,12 +250,11 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     Parseval turns the coefficient sums into circle averages:
     sum |c_m|^2 is the mean of |T|^2 and sum m |c_m|^2 the mean of
     Re[conj(T) z T'(z)].  Periodic trapezoid sums converge exponentially for
-    these analytic integrands.  Nodes are offset half a step, so the exact
-    removable points of the closed forms at z = 1 and z = -1 never coincide
-    with a sample; extracted forms are in lowest terms and have none.  P(m)
-    is not resolved by this route, so p_of_m comes back empty.
+    these analytic integrands; the form must be in lowest terms, so no
+    removable 0/0 sits on the circle.  P(m) is not resolved by this route,
+    so p_of_m comes back empty.
     """
-    _genuine_pole_radius(amp)  # raises on a genuine unit-circle pole
+    _pole_radius(amp)  # raises on a unit-circle pole
     dnum = npoly.polyder(amp.num)
     dden = npoly.polyder(amp.den)
 

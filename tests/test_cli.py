@@ -146,6 +146,15 @@ def test_resolve_graph_prefers_presets():
         resolve_graph("nosuch.json")
 
 
+# A triangle whose first edge length, 1e400, parses to inf.
+INF_LENGTH_GRAPH = "<c3 with a 1e400 edge>"
+INF_LENGTH_JSON = (
+    '{"vertices": [{"id": 1, "bc": "nk"}, {"id": 2, "bc": "nk"}, {"id": 3, "bc": "nk"}], '
+    '"edges": [{"from": 1, "to": 2, "length": 1e400}, {"from": 2, "to": 3}, '
+    '{"from": 3, "to": 1}], "leads": [{"vertex": 1}, {"vertex": 2}]}'
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -160,9 +169,24 @@ def test_resolve_graph_prefers_presets():
         ["sweep", "--graph", "c3", "--kl-min", "0.1", "--kl-max", "inf",
          "--samples", "10"],
         ["peaks", "--graph", "c3", "--kl-max", "inf"],
+        ["transmit", "--graph", INF_LENGTH_GRAPH, "--kl", "1.0"],
+        ["sweep", "--graph", INF_LENGTH_GRAPH, "--kl-min", "0.1", "--kl-max", "1",
+         "--samples", "10"],
+        ["walk", "--graph", INF_LENGTH_GRAPH],
+        ["transmit", "--graph", "c3", "--kl", "1.0", "--length-scale", "inf"],
+        ["sweep", "--graph", "c3", "--kl-min", "0.1", "--kl-max", "1",
+         "--samples", "10", "--length-scale", "inf"],
+        ["walk", "--graph", "c3", "--length-scale", "inf"],
+        ["hitting", "--graph", "c3", "--tolerance", "-1"],
+        ["hitting", "--graph", "c3", "--tolerance", "0"],
+        ["hitting", "--graph", "c3", "--tolerance", "nan"],
+        ["hitting", "--graph", "c3", "--tolerance", "inf"],
     ],
 )
-def test_usage_errors_exit_one(argv, capsys):
+def test_usage_errors_exit_one(argv, tmp_path, capsys):
+    graph_file = tmp_path / "inf_length.json"
+    graph_file.write_text(INF_LENGTH_JSON)
+    argv = [str(graph_file) if a == INF_LENGTH_GRAPH else a for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -203,6 +227,30 @@ def test_out_of_memory_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "qgraph: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
+def test_oversized_subdivision_fails_fast(monkeypatch, capsys):
+    # c3 subdivides into 6 unit bonds, whose 576-byte bond matrix does not
+    # fit in the 500 bytes reported here; nothing may be built first
+    monkeypatch.setattr("qgraph.graphs._physical_memory", lambda: 500.0)
+    for method in ("series", "power"):
+        code = main(["walk", "--graph", "c3", "--max-order", "3", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("qgraph: out of memory: subdividing into 6 unit bonds")
+    monkeypatch.setattr("qgraph.graphs._physical_memory", lambda: 576.0)
+    assert main(["walk", "--graph", "c3", "--max-order", "3"]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--kl-min", "1", "--kl-max", "2", "--samples", "3"],
+    ["peaks", "--resolution", "0.01"],
+])
+def test_huge_finite_lengths_take_the_solver_route(command, capsys):
+    # a total length near 3e300 must not break the sweep routing rule
+    code = main(command + ["--graph", "c3", "--length-scale", "1e300"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qgraph as qg
+from qgraph.walks import taylor_coefficients
 
 NK3_R, NK3_T = -1.0 / 3.0, 2.0 / 3.0
 NK2_R, NK2_T = 0.0, 1.0
@@ -87,8 +88,9 @@ def test_probability_bounded_on_unit_circle(amp):
 
 
 def test_square_removable_point_has_unit_limit():
-    # At kl = pi both numerator and denominator vanish; the limit is finite
-    # and the transmission probability there is exactly 1.
+    # The unreduced forms vanish over both numerator and denominator at
+    # kl = pi; in lowest terms the value there is the finite limit, and the
+    # transmission probability is exactly 1.
     sym = qg.symmetric_c4_amplitude(NK3_R, NK3_T, NK2_R, NK2_T)
     value = qg.eval_amplitude(sym, np.pi)
     assert abs(value + 1.0) < 1e-6
@@ -100,6 +102,33 @@ def test_genuine_pole_raises():
     amp = qg.RationalAmplitude(num=[1.0], den=[1.0, -1.0])
     with pytest.raises(qg.UnitCirclePoleError):
         qg.eval_amplitude(amp, 0.0)
+
+
+def test_form_not_in_lowest_terms_is_refused():
+    # (1 - z)/(2 (1 - z)) shares its root at z = 1; it must be reduced first
+    amp = qg.RationalAmplitude(num=[1.0, -1.0], den=[2.0, -2.0])
+    with pytest.raises(qg.UnitCirclePoleError):
+        qg.eval_amplitude(amp, 0.0)
+    with pytest.raises(qg.UnitCirclePoleError):
+        taylor_coefficients(amp, 16)
+
+
+@pytest.mark.parametrize(
+    "n, closed",
+    [(n, qg.cycle_nk_amplitude(n)) for n in range(3, 41)]
+    + [
+        (3, qg.symmetric_c3_amplitude(NK3_R, NK3_T, NK2_R, NK2_T)),
+        (4, qg.symmetric_c4_amplitude(NK3_R, NK3_T, NK2_R, NK2_T)),
+    ],
+)
+def test_closed_forms_equal_extracted_forms(n, closed):
+    # lowest terms and the solver's sign: the same coefficients once den(0) = 1
+    extracted = qg.extract_rational_amplitude(qg.make_cycle_graph(n))
+    assert len(closed.num) == len(extracted.num)
+    assert len(closed.den) == len(extracted.den)
+    scale = closed.den[0]
+    assert np.max(np.abs(closed.num / scale - extracted.num)) < 1e-12
+    assert np.max(np.abs(closed.den / scale - extracted.den)) < 1e-12
 
 
 def test_coefficients_are_read_only():

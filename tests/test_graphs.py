@@ -119,6 +119,18 @@ def test_validate_reports_structural_problems():
     assert "1 leads" in text
 
 
+def test_validate_reports_non_finite_lengths():
+    graph = qg.QuantumGraph(
+        vertex_ids=(1, 2),
+        boundary=(qg.NK, qg.NK),
+        edges=(qg.Edge(1, 2, length=np.inf), qg.Edge(1, 2, length=np.nan)),
+        leads=(1, 2),
+    )
+    problems = qg.validate_graph(graph).problems
+    assert "edge 0 has non-finite length inf" in problems
+    assert "edge 1 has non-positive length nan" in problems
+
+
 def test_validate_reports_disconnection():
     graph = qg.QuantumGraph(
         vertex_ids=(1, 2, 3, 4),
@@ -154,6 +166,8 @@ def test_scale_lengths():
     assert all(e.length == 2.5 for e in graph.edges)
     with pytest.raises(ValueError):
         qg.scale_lengths(graph, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        qg.scale_lengths(graph, np.inf)
 
 
 def test_json_round_trip_preserves_everything():
