@@ -73,7 +73,6 @@ from .walks import (
     WalkStats,
     coefficients_via_power_iteration,
     taylor_coefficients,
-    walk_stats,
     walk_stats_by_quadrature,
     walk_stats_to_tolerance,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "symmetric_c4_amplitude",
     "taylor_coefficients",
     "validate_graph",
-    "walk_stats",
     "walk_stats_by_quadrature",
     "walk_stats_to_tolerance",
     "write_peaks_json",

@@ -35,6 +35,10 @@ SINGULAR_UNITARITY_TOL = 1e-6
 # Half-width of the two-sided limit that scattering_limit averages.
 LIMIT_OFFSET = 1e-9
 
+# Largest phase |kl| * length accepted: beyond it the float64 spacing of the
+# phase exceeds 0.1 rad, so amplitudes would keep no correct digits.
+MAX_PHASE = 1e15
+
 # Element budget per LAPACK batch; keeps peak memory modest on fine sweeps.
 _BATCH_ELEMENTS = 1 << 21
 
@@ -160,6 +164,17 @@ def _solve_bonds(system: BondSystem, kl: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, rhs[..., None])[..., 0]
 
 
+def _check_phase(kl: np.ndarray, lengths: np.ndarray) -> None:
+    """Refuse wavenumbers whose phases kl * length keep no correct digits."""
+    # Python floats: a product past the float range is inf, without a warning.
+    phase = float(abs(kl).max(initial=0.0)) * float(lengths.max(initial=0.0))
+    if phase > MAX_PHASE:
+        raise ValueError(
+            f"|kl| * (largest length) = {phase:.3g} exceeds {MAX_PHASE:.0e}; "
+            "the phases would keep no correct digits"
+        )
+
+
 def _usable_cores() -> int:
     """Cores this process may run on (its affinity set where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -175,10 +190,12 @@ def solve_many(graph: QuantumGraph, kl: np.ndarray):
     bounded memory; a grid of several batches is spread over the usable
     cores, one batch per task writing its own slice of the output.  Batch
     boundaries do not depend on the core count, so neither do the results.
+    A phase |kl| * length above MAX_PHASE raises ValueError.
     """
     system = assemble_bond_system(graph)
     kl = np.asarray(kl)
     flat = np.atleast_1d(kl).astype(complex)
+    _check_phase(flat, system.lengths)
     nb = system.bond_count
     step = max(1, _BATCH_ELEMENTS // (nb * nb))
     t = np.empty(flat.shape, dtype=complex)
@@ -384,12 +401,14 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
 
 def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
     """(t, r) on a real grid, by the rational forms or by the dense solver."""
-    nb = assemble_bond_system(graph).bond_count
+    system = assemble_bond_system(graph)
+    nb = system.bond_count
     # Exact integers only: the forms subdivide rounded lengths, which would
     # shift the phases of a length that is integral only to a tolerance.
     if all(float(e.length).is_integer() for e in graph.edges):
         k = 2 * sum(int(e.length) for e in graph.edges)
         if len(grid) * nb**3 >= 2 * _sample_count(k) * k**3:
+            _check_phase(grid, system.lengths)
             t_amp, r_amp = _extract_channels(graph)
             z = np.exp(1j * grid)
             den = npoly.polyval(z, t_amp.den)

@@ -8,8 +8,10 @@ exit lead, and h = sum m P(m) / p_out the conditional hitting time.
 
 Coefficients come from two independent routes that cross-check each other:
 a linear recurrence on the rational amplitude, and direct power iteration of
-the bond map.  Both attach a geometric tail bound so the statistics can
-certify their truncation error.
+the bond map.  Both return coefficients only.  The statistics come from
+walk_stats_to_tolerance, which bounds the truncation error with one
+geometric tail rule set by the smallest pole radius, and independently from
+quadrature on the unit circle.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from .closedforms import RationalAmplitude, UnitCirclePoleError
 from .graphs import QuantumGraph, subdivide_integral
 from .solver import assemble_bond_system
 
-# Bond-map eigenvalues at least this close to the unit circle belong to
-# perfectly trapped (non-observable) modes and are excluded from the decay
-# estimate; observable modes of an open graph decay strictly.
+# A pole radius at most this far outside the unit circle is refused: flux
+# conservation puts every pole of a lowest-terms form strictly outside, and
+# a walk series whose pole sits on the circle does not decay.
 MARGINAL_MODE_CUTOFF = 1e-9
+
+# Highest truncation order walk_stats_to_tolerance expands before refusing.
+ORDER_CAP = 32768
 
 
 class TruncationError(ArithmeticError):
@@ -35,17 +40,14 @@ class TruncationError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class WalkSeries:
-    """Walk coefficients c_0..c_M plus a geometric tail estimate.
+    """Walk coefficients c_0..c_M of a truncated series.
 
-    ``tail_bound`` estimates the neglected mass sum_{m>M} m |c_m|^2 from the
-    observed decay; it is 0 for exactly terminating series.  Total weight
-    sum |c_m|^2 above 1 (beyond roundoff) is rejected: these coefficients
-    only make sense for flux-conserving amplitudes.
+    Total weight sum |c_m|^2 above 1 (beyond roundoff) is rejected: these
+    coefficients only make sense for flux-conserving amplitudes.
     """
 
     coefficients: np.ndarray
     order: int
-    tail_bound: float
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
@@ -88,17 +90,21 @@ def _recurrence(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     return c
 
 
-def _geometric_tail(coeffs: np.ndarray, order: int, rho: float) -> float:
-    """Bound sum_{m>order} m |c_m|^2 assuming |c_m| <= C rho^(-m).
+def _geometric_tail(coeffs: np.ndarray, rho, state: int) -> float:
+    """Bound sum_{m>M} m |c_m|^2, M = len(coeffs) - 1, with |c_m| <= C rho^(-m).
 
-    C is calibrated on the trailing window of observed coefficients, so the
-    estimate tracks the actual asymptotic amplitude rather than a worst-case
-    constant.  Everything runs in log space to survive large rho^m.
+    C is calibrated on the last ``state`` coefficients, which should hold at
+    least the recurrence's whole state (the last deg den of them): a window
+    shorter than a wave's return time can fall in a silent gap between
+    arrivals.  No pole (rho None) means a polynomial, whose expansion past
+    its degree leaves nothing.  Everything runs in log space to survive
+    large rho^m.
     """
-    if not np.isfinite(rho) or rho <= 1.0:
-        return float("inf")
+    if rho is None:
+        return 0.0
+    order = len(coeffs) - 1
     q = rho ** -2
-    window = coeffs[max(0, order - 31): order + 1]
+    window = coeffs[max(0, order + 1 - state):]
     mags = np.abs(window)
     if not mags.any():
         return 0.0
@@ -135,25 +141,13 @@ def taylor_coefficients(amp: RationalAmplitude, max_order: int) -> WalkSeries:
     """Walk coefficients c_0..c_max_order of a rational amplitude.
 
     Runs the linear recurrence induced by num = den * sum c_m z^m; the
-    coefficients keep the form's own sign.  The form must be in lowest
-    terms: the tail bound uses the smallest denominator root, and a root on
-    the unit circle raises even if the numerator shares it.  A constant
-    denominator gives a terminating series and an exact residual instead.
+    coefficients keep the form's own sign.  No truncation error is
+    estimated here: walk_stats_to_tolerance certifies the statistics.
     """
     if max_order < 0:
         raise ValueError("max_order must be non-negative")
     c = _recurrence(amp.num, amp.den, max_order)
-    rho = _pole_radius(amp)
-    if rho is not None:
-        tail = _geometric_tail(c, max_order, rho)
-    elif max_order >= len(amp.num) - 1:
-        tail = 0.0
-    else:
-        # Polynomial case: finish the expansion and sum the leftover exactly.
-        full = _recurrence(amp.num, amp.den, len(amp.num) - 1)
-        ms = np.arange(max_order + 1, len(full), dtype=float)
-        tail = float(np.sum(ms * np.abs(full[max_order + 1:]) ** 2))
-    return WalkSeries(coefficients=c, order=max_order, tail_bound=tail)
+    return WalkSeries(coefficients=c, order=max_order)
 
 
 def coefficients_via_power_iteration(graph: QuantumGraph, max_order: int) -> WalkSeries:
@@ -176,72 +170,47 @@ def coefficients_via_power_iteration(graph: QuantumGraph, max_order: int) -> Wal
         for m in range(2, max_order + 1):
             a = system.smatrix @ a
             c[m] = a @ system.out_t
-
-    moduli = np.abs(np.linalg.eigvals(system.smatrix))
-    decaying = moduli[moduli < 1.0 - MARGINAL_MODE_CUTOFF]
-    if decaying.size == 0:
-        # Only marginal modes: nothing certifies decay.
-        tail = float("inf")
-    elif decaying.max() > 0.0:
-        tail = _geometric_tail(c, max_order, 1.0 / float(decaying.max()))
-    else:
-        # Nilpotent bond map: the walk terminates within one pass over the
-        # bonds, so the leftover mass can be summed exactly.
-        extra = 0.0
-        aa = system.inj.copy()
-        for m in range(1, system.bond_count + 2):
-            if m > 1:
-                aa = system.smatrix @ aa
-            if m > max_order:
-                extra += m * abs(aa @ system.out_t) ** 2
-        tail = float(extra)
-    return WalkSeries(coefficients=c, order=max_order, tail_bound=tail)
+    return WalkSeries(coefficients=c, order=max_order)
 
 
-def walk_stats(series: WalkSeries, tolerance: float = 1e-8) -> WalkStats:
-    """P(m), p_out, and conditional hitting time from a truncated series.
+def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> WalkStats:
+    """P(m), p_out and conditional hitting time from the certified series.
 
-    The tail bound must keep the hitting-time truncation error below
-    ``tolerance``; otherwise a TruncationError asks for a larger order.
-    Step counts start at m = 1 (c_0 is a zero-step process, nonzero only
-    when both leads share a vertex, and is excluded from the sums).
-    """
-    p = np.abs(series.coefficients) ** 2
-    p_out = float(p[1:].sum())
-    if p_out <= 0.0:
-        raise TruncationError("no transmitted weight up to this order")
-    first_moment = float(np.dot(np.arange(1, len(p), dtype=float), p[1:]))
-    h = first_moment / p_out
-    err = series.tail_bound * (1.0 + h) / p_out
-    if not (err < tolerance):
-        raise TruncationError(
-            f"order {series.order} leaves hitting-time error ~{err:.3e} "
-            f"(> {tolerance:.1e}); increase max_order"
-        )
-    if h < 1.0:
-        raise ArithmeticError(f"hitting time {h} < 1; series is inconsistent")
-    return WalkStats(p_of_m=p, p_out=p_out, hitting_time=h)
-
-
-def walk_stats_to_tolerance(
-    amp: RationalAmplitude, tolerance: float = 1e-8, order_cap: int = 32768
-) -> WalkStats:
-    """walk_stats with the truncation order grown until the stats certify.
-
-    Doubles the order until walk_stats accepts the tail bound or the cap is
-    reached, in which case its TruncationError propagates.  The tolerance
-    must lie in (0, inf).
+    Expands the series to orders 64 * 2^j, skipping those below
+    len(num) + deg den, until the geometric tail keeps the hitting-time
+    truncation error below ``tolerance``; past order ORDER_CAP a
+    TruncationError refuses.  Step counts start at m = 1 (c_0 is a
+    zero-step process, nonzero only when both leads share a vertex, and is
+    excluded from the sums).  The tolerance must lie in (0, inf).
     """
     if not (0 < tolerance < np.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    rho = _pole_radius(amp)
+    degree = len(np.trim_zeros(amp.den, "b")) - 1
     order = 64
-    while True:
-        try:
-            return walk_stats(taylor_coefficients(amp, order), tolerance)
-        except TruncationError:
-            if order >= order_cap:
-                raise
+    while order < len(amp.num) + degree:
         order *= 2
+    if order > ORDER_CAP:
+        raise TruncationError(f"a form of this degree needs order {order} > {ORDER_CAP}")
+    while True:
+        c = taylor_coefficients(amp, order).coefficients
+        p = np.abs(c) ** 2
+        p_out = float(p[1:].sum())
+        if p_out <= 0.0:
+            raise TruncationError("no transmitted weight up to this order")
+        h = float(np.dot(np.arange(1, len(p), dtype=float), p[1:])) / p_out
+        err = _geometric_tail(c, rho, max(32, degree)) * (1.0 + h) / p_out
+        if err < tolerance:
+            break
+        if order >= ORDER_CAP:
+            raise TruncationError(
+                f"order {order} leaves hitting-time error ~{err:.3e} "
+                f"(> {tolerance:.1e}); the series decays too slowly to certify"
+            )
+        order *= 2
+    if h < 1.0:
+        raise ArithmeticError(f"hitting time {h} < 1; series is inconsistent")
+    return WalkStats(p_of_m=p, p_out=p_out, hitting_time=h)
 
 
 def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:

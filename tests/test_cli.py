@@ -181,13 +181,22 @@ INF_LENGTH_JSON = (
         ["hitting", "--graph", "c3", "--tolerance", "0"],
         ["hitting", "--graph", "c3", "--tolerance", "nan"],
         ["hitting", "--graph", "c3", "--tolerance", "inf"],
+        # phases kl * length past 1e15 keep no correct digits
+        ["transmit", "--graph", "c3", "--length-scale", "1e308", "--kl", "1"],
+        ["peaks", "--graph", "c3-c3", "--length-scale", "1e300"],
+        ["sweep", "--graph", "c3", "--kl-min", "1", "--kl-max", "2",
+         "--samples", "3", "--length-scale", "1e308"],
+        ["sweep", "--graph", "c3", "--kl-min", "1e299", "--kl-max", "1e300",
+         "--samples", "70000"],
     ],
 )
 def test_usage_errors_exit_one(argv, tmp_path, capsys):
     graph_file = tmp_path / "inf_length.json"
     graph_file.write_text(INF_LENGTH_JSON)
     argv = [str(graph_file) if a == INF_LENGTH_GRAPH else a for a in argv]
-    code = main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert "qgraph: error:" in captured.err
@@ -243,11 +252,12 @@ def test_oversized_subdivision_fails_fast(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["sweep", "--kl-min", "1", "--kl-max", "2", "--samples", "3"],
-    ["peaks", "--resolution", "0.01"],
+    ["sweep", "--kl-min", "1e-300", "--kl-max", "2e-300", "--samples", "3"],
+    ["peaks", "--kl-min", "1e-300", "--kl-max", "6e-300", "--resolution", "1e-302"],
 ])
 def test_huge_finite_lengths_take_the_solver_route(command, capsys):
-    # a total length near 3e300 must not break the sweep routing rule
+    # a total length near 3e300 must not break the sweep routing rule; the
+    # wavenumbers keep every phase kl * length below 1e15
     code = main(command + ["--graph", "c3", "--length-scale", "1e300"])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import qgraph as qg
-from qgraph.walks import taylor_coefficients
 
 NK3_R, NK3_T = -1.0 / 3.0, 2.0 / 3.0
 NK2_R, NK2_T = 0.0, 1.0
@@ -110,7 +109,7 @@ def test_form_not_in_lowest_terms_is_refused():
     with pytest.raises(qg.UnitCirclePoleError):
         qg.eval_amplitude(amp, 0.0)
     with pytest.raises(qg.UnitCirclePoleError):
-        taylor_coefficients(amp, 16)
+        qg.walk_stats_to_tolerance(amp)
 
 
 @pytest.mark.parametrize(

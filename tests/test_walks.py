@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qgraph as qg
-from qgraph.walks import taylor_coefficients
+from qgraph.walks import _geometric_tail, _pole_radius, taylor_coefficients
 
 
 def _series(graph, order):
@@ -63,7 +63,6 @@ def test_power_iteration_terminating_series():
     series = qg.coefficients_via_power_iteration(path, 6)
     assert abs(series.coefficients[1] - 1.0) < 1e-15
     assert np.max(np.abs(np.delete(series.coefficients, 1))) < 1e-15
-    assert series.tail_bound == 0.0
 
 
 def test_integral_lengths_stretch_the_step_index():
@@ -104,9 +103,9 @@ def test_series_keeps_a_negative_leading_coefficient():
 
 def test_walk_series_rejects_unnormalizable_coefficients():
     with pytest.raises(ValueError, match="flux"):
-        qg.WalkSeries(coefficients=[0.0, 1.2], order=1, tail_bound=0.0)
+        qg.WalkSeries(coefficients=[0.0, 1.2], order=1)
     with pytest.raises(ValueError):
-        qg.WalkSeries(coefficients=[0.0, 0.5], order=3, tail_bound=0.0)
+        qg.WalkSeries(coefficients=[0.0, 0.5], order=3)
 
 
 def test_triangle_hitting_time():
@@ -141,34 +140,65 @@ def test_quadrature_route_agrees_with_series(source):
 
 
 def test_truncation_error_when_order_is_too_low():
-    amp = qg.extract_rational_amplitude(qg.make_cycle_graph(3))
-    short = taylor_coefficients(amp, 16)
-    with pytest.raises(qg.TruncationError, match="increase max_order"):
-        qg.walk_stats(short, tolerance=1e-8)
+    # c31's pole sits too close to the circle to certify by order 32768
+    amp = qg.extract_rational_amplitude(qg.make_cycle_graph(31))
+    with pytest.raises(qg.TruncationError, match="order 32768 .* decays too slowly"):
+        qg.walk_stats_to_tolerance(amp, tolerance=1e-8)
 
 
 def test_no_transmitted_weight_is_reported():
-    series = qg.WalkSeries(coefficients=[0.5, 0.0], order=1, tail_bound=0.0)
     with pytest.raises(qg.TruncationError, match="no transmitted weight"):
-        qg.walk_stats(series)
+        qg.walk_stats_to_tolerance(qg.RationalAmplitude([0.5], [1.0]))
+
+
+def test_polynomial_form_is_summed_exactly():
+    # a terminating walk: every order >= len(num) holds the whole series
+    amp = qg.RationalAmplitude(num=[0.0, 0.6, 0.8], den=[1.0])
+    stats = qg.walk_stats_to_tolerance(amp)
+    assert abs(stats.p_out - 1.0) < 1e-15
+    assert abs(stats.hitting_time - 1.64) < 1e-15
+
+
+def test_no_order_below_the_forms_degree():
+    # a numerator of degree 39 999 needs order 65 536, past the cap
+    num = np.zeros(40000)
+    num[-1] = 0.5
+    amp = qg.RationalAmplitude(num=num, den=[1.0, -0.5])
+    with pytest.raises(qg.TruncationError, match="needs order 65536"):
+        qg.walk_stats_to_tolerance(amp)
 
 
 def test_tail_bound_covers_the_true_remainder():
     amp = qg.extract_rational_amplitude(qg.make_cycle_graph(3))
+    rho = _pole_radius(amp)
     reference = taylor_coefficients(amp, 2000).coefficients
     for order in (50, 100):
-        bound = taylor_coefficients(amp, order).tail_bound
+        bound = _geometric_tail(reference[:order + 1], rho, 32)
         m = np.arange(order + 1, 2001, dtype=float)
         true_tail = float(np.sum(m * np.abs(reference[order + 1:]) ** 2))
         assert true_tail <= bound
     # decay is certified far below any practical tolerance by order 200
-    assert taylor_coefficients(amp, 200).tail_bound < 1e-20
+    assert _geometric_tail(reference[:201], rho, 32) < 1e-20
+
+
+@pytest.mark.parametrize(
+    "n, exact_h",
+    [(64, 52.37140053361426), (80, 65.76025491567879), (99, 82.2515279914363)],
+)
+def test_slow_rings_are_refused_or_right(n, exact_h):
+    # the wave returns about every n steps, so a tail window shorter than
+    # that can sit in a silent gap and certify h = 32.0 (c64) or 1.025
+    try:
+        stats = qg.walk_stats_to_tolerance(qg.cycle_nk_amplitude(n))
+    except qg.TruncationError:
+        return
+    assert abs(stats.hitting_time - exact_h) < 1e-6
 
 
 def test_genuine_unit_pole_blocks_both_routes():
     amp = qg.RationalAmplitude(num=[1.0], den=[1.0, -1.0])
     with pytest.raises(qg.UnitCirclePoleError):
-        taylor_coefficients(amp, 16)
+        qg.walk_stats_to_tolerance(amp)
     with pytest.raises(qg.UnitCirclePoleError):
         qg.walk_stats_by_quadrature(amp)
 
