@@ -9,25 +9,29 @@ locate those bands by interval arithmetic on the grid and then refine each
 peak against the solver itself (golden-section for the center, bisection
 for the half-height crossings), since the interesting widths are only a few
 grid steps wide.  The grid therefore only seeds the search: every reported
-center, height and width is a solver evaluation.  All CSV and JSON output
-of sweeps and peaks is formatted here.
+center, height and width is a solver evaluation.  All peaks of a sweep are
+refined in lockstep, one batched solve per round, with the same numbers bit
+for bit as one point at a time.  All CSV and JSON output is formatted here.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import QuantumGraph, atomic_write_text
-from .solver import SINGULAR_UNITARITY_TOL, _sweep_amplitudes, scattering_or_limit
+from .solver import (SINGULAR_UNITARITY_TOL, _sweep_amplitudes, scattering_limit,
+                     scattering_or_limit, solve_many)
 
 DEFAULT_BAND_FLOOR = 0.01
 FULL_TRANSMISSION_HEIGHT = 0.999
 REFINE_TOL = 1e-9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MARCH_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,21 +143,13 @@ def detect_suppression_bands(sweep: Sweep, floor: float = DEFAULT_BAND_FLOOR):
     """
     if not (0.0 < floor < 1.0):
         raise ValueError(f"floor must be in (0, 1), got {floor!r}")
-    below = sweep.t2 < floor
     kl = sweep.kl
-
-    clusters = []  # [lo, hi, total below-floor width]
-    i = 0
-    n = len(below)
-    while i < n:
-        if below[i]:
-            j = i
-            while j + 1 < n and below[j + 1]:
-                j += 1
-            clusters.append([kl[i], kl[j], kl[j] - kl[i]])
-            i = j + 1
-        else:
-            i += 1
+    # +1 where a below-floor run starts, -1 one past where it ends.
+    steps = np.diff((sweep.t2 < floor).astype(np.int8), prepend=0, append=0)
+    clusters = [  # [lo, hi, total below-floor width]
+        [kl[i], kl[j], kl[j] - kl[i]]
+        for i, j in zip(np.nonzero(steps == 1)[0], np.nonzero(steps == -1)[0] - 1)
+    ]
 
     merged = True
     while merged:
@@ -169,33 +165,78 @@ def detect_suppression_bands(sweep: Sweep, floor: float = DEFAULT_BAND_FLOOR):
     return [(float(lo), float(hi)) for lo, hi, _ in clusters]
 
 
-def _golden_max(f, a: float, b: float, tol: float = REFINE_TOL):
+def _golden_max(a: float, b: float):
+    """Golden-section search for the maximum on [a, b]: (x, |T(x)|^2)."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    fc, fd = yield (c, d)
+    while (b - a) > REFINE_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            (fc,) = yield (c,)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
+            (fd,) = yield (d,)
     x = 0.5 * (a + b)
-    return x, f(x)
+    (fx,) = yield (x,)
+    return x, fx
 
 
-def _bisect_crossing(f, inside: float, outside: float, level: float,
-                     tol: float = REFINE_TOL) -> float:
-    """Point where f crosses the level, given f(inside) > level >= f(outside)."""
-    while abs(outside - inside) > tol:
+def _half_crossing(center: float, half: float, step: float, bound: float):
+    """Where |T|^2 falls to ``half`` between center and bound (step < 0: left).
+
+    Marches in grid steps, _MARCH_BLOCK per round, to the first point at or
+    below half or at the bound, then bisects the last step to REFINE_TOL.
+    """
+    outward, inward = (max, min) if step < 0 else (min, max)
+    block = [center]
+    while True:
+        while len(block) < _MARCH_BLOCK and block[-1] != bound:
+            block.append(outward(bound, block[-1] + step))
+        values = yield tuple(block)
+        stops = [x for x, v in zip(block, values) if v <= half or x == bound]
+        if stops:
+            break
+        block = [outward(bound, block[-1] + step)]
+
+    inside, outside = inward(center, stops[0] - step), stops[0]
+    while abs(outside - inside) > REFINE_TOL:
         mid = 0.5 * (inside + outside)
-        if f(mid) > level:
+        (value,) = yield (mid,)
+        if value > half:
             inside = mid
         else:
             outside = mid
     return 0.5 * (inside + outside)
+
+
+def _lockstep(graph: QuantumGraph, searches: list) -> list:
+    """Results of the searches, run together with one solve_many per round.
+
+    A search is a generator that yields a tuple of kl values, is sent |T|^2
+    there, and returns its result.  Each value is scattering_or_limit(graph,
+    x).t2 bit for bit: a point's solve does not depend on its batch, and one
+    that is non-finite or visibly non-unitary gets the two-sided limit.
+    """
+    results, asks = [None] * len(searches), [next(search) for search in searches]
+    while any(asks):
+        points = [x for ask in asks for x in ask]
+        t, r = solve_many(graph, np.array(points))
+        values = []
+        for x, ti, ri in zip(points, t.tolist(), r.tolist()):
+            if not (cmath.isfinite(ti) and cmath.isfinite(ri)) or \
+                    abs(abs(ti) ** 2 + abs(ri) ** 2 - 1.0) > SINGULAR_UNITARITY_TOL:
+                ti = scattering_limit(graph, x).t_global
+            values.append(abs(ti) ** 2)
+        for i, ask in enumerate(asks):
+            try:
+                asks[i] = searches[i].send(values[:len(ask)]) if ask else ()
+            except StopIteration as done:
+                results[i], asks[i] = done.value, ()
+            del values[:len(ask)]
+    return results
 
 
 def detect_peaks(sweep: Sweep, min_height: float = 0.99):
@@ -204,57 +245,40 @@ def detect_peaks(sweep: Sweep, min_height: float = 0.99):
     Grid-level local maxima inside each band seed a golden-section
     maximization of the solver's |T|^2 between the neighboring grid points
     (centers to 1e-9); the full width at half maximum comes from marching to
-    the half-height crossings and bisecting them to 1e-9.  Peaks whose
-    refined height stays below ``min_height`` are dropped.  Heights are
-    always direct solver evaluations, never grid interpolations.
+    the half-height crossings and bisecting them to 1e-9, all peaks in
+    lockstep.  Peaks whose refined height stays below ``min_height`` are
+    dropped.  Heights are always direct solver evaluations, never grid
+    interpolations.
     """
     if not (0.0 < min_height <= 1.0):
         raise ValueError(f"min_height must be in (0, 1], got {min_height!r}")
-    graph = sweep.graph
     kl, t2 = sweep.kl, sweep.t2
-    bands = detect_suppression_bands(sweep)
+    # Refinement recovers the true height of undersampled peaks, so the grid
+    # filter on the local maxima stays deliberately loose.
+    mid = t2[1:-1]
+    seed = np.r_[False, (mid > t2[:-2]) & (mid >= t2[2:]) & (mid >= 0.5 * min_height), False]
+    seeds = [(i, band) for band in detect_suppression_bands(sweep)
+             for i in np.nonzero(seed & (kl >= band[0]) & (kl <= band[1]))[0]]
+    maxima = _lockstep(
+        sweep.graph, [_golden_max(float(kl[i - 1]), float(kl[i + 1])) for i, _ in seeds]
+    )
 
-    def f(x: float) -> float:
-        return scattering_or_limit(graph, x).t2
+    kept = []  # (center, height, band)
+    for (center, height), (_, band) in zip(maxima, seeds):
+        if height < min_height:
+            continue
+        if kept and abs(center - kept[-1][0]) < 0.5 * sweep.resolution \
+                and kept[-1][2] == band:
+            continue
+        kept.append((center, height, band))
 
-    reports = []
-    for lo, hi in bands:
-        sel = np.nonzero((kl >= lo) & (kl <= hi))[0]
-        for i in sel:
-            if i == 0 or i == len(kl) - 1:
-                continue
-            if not (t2[i] > t2[i - 1] and t2[i] >= t2[i + 1]):
-                continue
-            # Refinement recovers the true height of undersampled peaks, so
-            # the grid filter stays deliberately loose.
-            if t2[i] < 0.5 * min_height:
-                continue
-            center, height = _golden_max(f, float(kl[i - 1]), float(kl[i + 1]))
-            if height < min_height:
-                continue
-            if reports and abs(center - reports[-1].center) < 0.5 * sweep.resolution \
-                    and reports[-1].band == (lo, hi):
-                continue
-
-            half = 0.5 * height
-            step = sweep.resolution
-            left = center
-            while f(left) > half and left > kl[0]:
-                left = max(kl[0], left - step)
-            right = center
-            while f(right) > half and right < kl[-1]:
-                right = min(kl[-1], right + step)
-            x_left = _bisect_crossing(f, min(center, left + step), left, half)
-            x_right = _bisect_crossing(f, max(center, right - step), right, half)
-            reports.append(
-                PeakReport(
-                    center=center,
-                    height=height,
-                    width=x_right - x_left,
-                    band=(lo, hi),
-                )
-            )
-    return reports
+    crossings = _lockstep(sweep.graph, [
+        _half_crossing(center, 0.5 * height, step, float(bound))
+        for center, height, _ in kept
+        for step, bound in ((-sweep.resolution, kl[0]), (sweep.resolution, kl[-1]))
+    ])
+    return [PeakReport(center=c, height=h, width=right - left, band=b)
+            for (c, h, b), left, right in zip(kept, crossings[::2], crossings[1::2])]
 
 
 # ---------------------------------------------------------------------------

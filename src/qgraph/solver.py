@@ -188,23 +188,24 @@ def solve_many(graph: QuantumGraph, kl: np.ndarray):
     Points where the system is near-singular come back non-finite or far from
     unitary; sweep-level code repairs them.  The grid is solved in batches of
     bounded memory; a grid of several batches is spread over the usable
-    cores, one batch per task writing its own slice of the output.  Batch
-    boundaries do not depend on the core count, so neither do the results.
-    A phase |kl| * length above MAX_PHASE raises ValueError.
+    cores, one batch per task writing its own slice of the output.  A
+    point's (t, r) is bit for bit the same in any batch and on any core
+    count.  A phase |kl| * length above MAX_PHASE raises ValueError.
     """
     system = assemble_bond_system(graph)
     kl = np.asarray(kl)
     flat = np.atleast_1d(kl).astype(complex)
     _check_phase(flat, system.lengths)
     nb = system.bond_count
-    step = max(1, _BATCH_ELEMENTS // (nb * nb))
+    step = max(1, _BATCH_ELEMENTS // max(1, nb * nb))
     t = np.empty(flat.shape, dtype=complex)
     r = np.empty(flat.shape, dtype=complex)
 
     def solve_batch(lo):
         a = _solve_bonds(system, flat[lo:lo + step])
-        t[lo:lo + step] = a @ system.out_t + system.direct_t
-        r[lo:lo + step] = a @ system.out_r + system.direct_r
+        # Row-wise: a matrix product's BLAS kernel, and last bit, vary with rows.
+        t[lo:lo + step] = np.vecdot(system.out_t.conj(), a) + system.direct_t
+        r[lo:lo + step] = np.vecdot(system.out_r.conj(), a) + system.direct_r
 
     starts = range(0, flat.size, step)
     workers = min(len(starts), _usable_cores())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qgraph as qg
+from qgraph import analysis
 from qgraph.analysis import peaks_to_json, sweep_to_csv
 from qgraph.solver import SINGULAR_UNITARITY_TOL
 
@@ -97,6 +98,101 @@ def test_peak_heights_are_solver_evaluations(text):
         assert p.height == qg.scattering_or_limit(graph, p.center).t2
 
 
+def _one_point_at_a_time(graph, searches):
+    # the scalar reference for `_lockstep`: each search alone, each
+    # point through the public singular-point policy
+    results = []
+    for search in searches:
+        ask = next(search)
+        try:
+            while True:
+                ask = search.send([qg.scattering_or_limit(graph, x).t2 for x in ask])
+        except StopIteration as done:
+            results.append(done.value)
+    return results
+
+
+@pytest.mark.parametrize(
+    "text, scale",
+    [("c3-c3", 1.0), ("c4-c4", 1.0), ("c3-c4-c3", 1.0), ("c3-c4-c3", 1.3)],
+)
+def test_lockstep_refinement_equals_scalar_refinement(text, scale, monkeypatch):
+    graph = qg.scale_lengths(qg.compose_series(qg.parse_series_shorthand(text)), scale)
+    sweep = _peak_sweep(graph)
+    batched = qg.detect_peaks(sweep)
+    monkeypatch.setattr(analysis, "_lockstep", _one_point_at_a_time)
+    scalar = qg.detect_peaks(sweep)
+    assert batched and batched == scalar
+
+
+@pytest.mark.parametrize("min_height", [0.99, 0.005])
+def test_peak_seeds_match_a_loop_over_the_grid(min_height, monkeypatch):
+    graph = qg.compose_series(qg.parse_series_shorthand("c3-c4-c3"))
+    sweep = _peak_sweep(graph)
+    kl, t2 = sweep.kl, sweep.t2
+    expected = [
+        (kl[i - 1], kl[i + 1])
+        for lo, hi in qg.detect_suppression_bands(sweep)
+        for i in np.nonzero((kl >= lo) & (kl <= hi))[0]
+        if 0 < i < len(kl) - 1 and t2[i] > t2[i - 1] and t2[i] >= t2[i + 1]
+        and not t2[i] < 0.5 * min_height
+    ]
+    brackets = []
+    golden = analysis._golden_max
+
+    def recording(a, b):
+        brackets.append((a, b))
+        return golden(a, b)
+
+    monkeypatch.setattr(analysis, "_golden_max", recording)
+    qg.detect_peaks(sweep, min_height)
+    assert brackets == expected and len(expected) >= 4
+
+
+def test_peak_refinement_batches_its_solves(monkeypatch):
+    graph = qg.compose_series(qg.parse_series_shorthand("c3-c4-c3"))
+    sweep = _peak_sweep(graph, resolution=1e-4)
+    calls = []
+    counted = qg.solve_many
+
+    def counting(graph, kl):
+        calls.append(len(np.atleast_1d(kl)))
+        return counted(graph, kl)
+
+    monkeypatch.setattr("qgraph.solver.solve_many", counting)
+    monkeypatch.setattr(analysis, "solve_many", counting)
+    assert len(qg.detect_peaks(sweep)) == 4
+    assert len(calls) <= 120
+
+
+def test_batched_refinement_applies_the_singular_point_policy(monkeypatch):
+    # c4's 0/0 point kl = pi among regular points in one batch.  The pivoted
+    # solve happens to recover it, so, as in the solver's own guard test, it
+    # is poisoned to non-finite; another point is made visibly non-unitary.
+    import qgraph.solver as solver_mod
+
+    graph = qg.make_cycle_graph(4)
+    points = (1.0, np.pi, 2.5, 3.0, np.pi, 4.0)
+    clean = solver_mod._solve_bonds
+
+    def poisoned(system, kl):
+        out = clean(system, kl)
+        out[np.asarray(kl) == np.pi] = np.nan
+        out[np.asarray(kl) == 2.5] *= 1.01
+        return out
+
+    monkeypatch.setattr(solver_mod, "_solve_bonds", poisoned)
+    t, r = qg.solve_many(graph, np.array(points))
+    assert np.isnan(t[1]) and abs(t[2]) ** 2 + abs(r[2]) ** 2 - 1.0 > SINGULAR_UNITARITY_TOL
+
+    def probe():
+        return (yield points)
+
+    (values,) = analysis._lockstep(graph, [probe()])
+    assert values == [qg.scattering_or_limit(graph, x).t2 for x in points]
+    assert abs(values[1] - 1.0) < 1e-9
+
+
 @pytest.mark.parametrize("source", ["c3", "c4", "c3-c3"])
 def test_transmission_is_symmetric_about_pi(source):
     if "-" in source:
@@ -132,6 +228,43 @@ def test_chained_triangles_merge_into_one_wide_band():
     # chaining widens suppression: the merged band dwarfs the single
     # triangle's central band
     assert hi - lo > 2.0
+
+
+def _bands_by_loop(kl, t2, floor):
+    # the scan as a plain loop over the grid, the reference for the array ops
+    clusters, i = [], 0
+    while i < len(t2):
+        if t2[i] < floor:
+            j = i
+            while j + 1 < len(t2) and t2[j + 1] < floor:
+                j += 1
+            clusters.append([kl[i], kl[j], kl[j] - kl[i]])
+            i = j + 1
+        else:
+            i += 1
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(clusters) - 1):
+            cur, nxt = clusters[i], clusters[i + 1]
+            if nxt[0] - cur[1] < cur[2] + nxt[2]:
+                clusters[i:i + 2] = [[cur[0], nxt[1], cur[2] + nxt[2]]]
+                merged = True
+                break
+    return [(float(lo), float(hi)) for lo, hi, _ in clusters]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_band_scan_matches_a_loop_over_the_grid(seed):
+    # runs of every length, touching either end of the grid or not
+    rng = np.random.default_rng(seed)
+    kl = np.linspace(0.1, 6.1, 400)
+    t2 = np.repeat(rng.uniform(0.0, 0.02, 80), rng.integers(1, 10, 80))[:400]
+    t2 = np.pad(t2, (0, 400 - len(t2)), constant_values=seed % 2 * 0.005)
+    sweep = analysis.Sweep(graph=qg.make_cycle_graph(3), kl=kl, t=np.sqrt(t2),
+                           r=np.sqrt(1.0 - t2), resolution=kl[1] - kl[0])
+    for floor in (0.002, 0.01, 0.019):
+        assert qg.detect_suppression_bands(sweep, floor) == _bands_by_loop(kl, sweep.t2, floor)
 
 
 def test_lower_floor_bands_nest_inside_higher_floor_bands():

@@ -126,6 +126,19 @@ def test_graph_file_source(tmp_path, capsys):
     assert out_file == out_preset
 
 
+def test_edgeless_graph_transmits_directly(tmp_path, capsys):
+    # both leads on one NK vertex of degree 2: t = 1, r = 0, no bonds to solve
+    path = tmp_path / "edgeless.json"
+    path.write_text(
+        '{"vertices": [{"id": 1, "bc": "nk"}], "edges": [], '
+        '"leads": [{"vertex": 1}, {"vertex": 1}]}'
+    )
+    code, out, err = run(capsys, "transmit", "--graph", str(path), "--kl", "1")
+    assert code == 0 and err == ""
+    row = [float(x) for x in out.strip().splitlines()[1].split(",")]
+    assert row == [1.0, 1.0, 0.0, 1.0, 0.0]
+
+
 def test_length_scale_shifts_the_spectrum(capsys):
     # doubling the lengths halves the wavenumber of every feature
     _, out_scaled, _ = run(

@@ -60,6 +60,22 @@ def test_solve_many_matches_pointwise_calls():
         assert abs(r_batch[i] - res.r_global) < 1e-14
 
 
+@pytest.mark.parametrize("text", ["c3", "c3+c3", "c3-c3", "c4-c4"])
+def test_a_points_amplitudes_do_not_depend_on_its_batch(text):
+    # 6, 12, 14 and 18 bonds: a point solved alone, in the whole grid or in
+    # any piece of it gets the same (t, r) bit for bit
+    graph = qg.compose_series(qg.parse_series_shorthand(text))
+    kl = np.linspace(0.05, 6.2, 601)
+    t, r = qg.solve_many(graph, kl)
+    for i, x in enumerate(kl):
+        res = qg.scattering_matrix(graph, x)
+        assert (t[i], r[i]) == (res.t_global, res.r_global)
+    for cuts in ([1, 2, 3, 300], [7, 64, 65, 599], list(range(5, 600, 97))):
+        pieces = [qg.solve_many(graph, part) for part in np.split(kl, cuts)]
+        assert np.array_equal(np.concatenate([p[0] for p in pieces]), t)
+        assert np.array_equal(np.concatenate([p[1] for p in pieces]), r)
+
+
 def test_solve_many_scalar_input():
     t, r = qg.solve_many(qg.make_cycle_graph(3), 1.7)
     assert np.isscalar(complex(t)) and abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) < 1e-12
