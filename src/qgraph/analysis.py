@@ -11,20 +11,19 @@ for the half-height crossings), since the interesting widths are only a few
 grid steps wide.  The grid therefore only seeds the search: every reported
 center, height and width is a solver evaluation.  All peaks of a sweep are
 refined in lockstep, one batched solve per round, with the same numbers bit
-for bit as one point at a time.  All CSV and JSON output is formatted here.
+for bit as one point at a time.  Sweep and peak CSV and JSON are formatted
+here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import QuantumGraph, atomic_write_text
-from .solver import (SINGULAR_UNITARITY_TOL, _sweep_amplitudes, scattering_limit,
-                     scattering_or_limit, solve_many)
+from .solver import _repair, _sweep_amplitudes, solve_many
 
 DEFAULT_BAND_FLOOR = 0.01
 FULL_TRANSMISSION_HEIGHT = 0.999
@@ -87,8 +86,7 @@ def sweep_transmission(
     Graphs with integer edge lengths are evaluated from their lowest-terms
     rational forms when the grid is long enough that one extraction costs
     less than a dense bond solve per point; every other sweep uses the
-    solver.  On either route, grid points that came back non-finite or
-    visibly non-unitary (on-shell singularities) are re-evaluated by the
+    solver.  On either route, on-shell singular points get the solver's
     two-sided limit policy.  A solver-route grid of several batches is
     solved on the usable cores (see ``solve_many``); the output does not
     depend on the core count.
@@ -99,13 +97,6 @@ def sweep_transmission(
         raise ValueError(f"samples must be >= 2, got {samples!r}")
     grid = np.linspace(kl_min, kl_max, int(samples))
     t, r = _sweep_amplitudes(graph, grid)
-
-    unitary_defect = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
-    bad = ~np.isfinite(t) | ~np.isfinite(r) | (unitary_defect > SINGULAR_UNITARITY_TOL)
-    for i in np.nonzero(bad)[0]:
-        res = scattering_or_limit(graph, float(grid[i]))
-        t[i], r[i] = res.t_global, res.r_global
-
     t2max = float(np.max(np.abs(t) ** 2))
     if not np.isfinite(t2max) or t2max > 1.0 + 1e-9:
         raise ArithmeticError(
@@ -216,20 +207,16 @@ def _lockstep(graph: QuantumGraph, searches: list) -> list:
     """Results of the searches, run together with one solve_many per round.
 
     A search is a generator that yields a tuple of kl values, is sent |T|^2
-    there, and returns its result.  Each value is scattering_or_limit(graph,
-    x).t2 bit for bit: a point's solve does not depend on its batch, and one
-    that is non-finite or visibly non-unitary gets the two-sided limit.
+    there, and returns its result.  Each value is bit for bit the |T|^2 of
+    a one-point solve under the singular-point policy: a point's solve does
+    not depend on its batch, and ``_repair`` gives a singular one the limit.
     """
     results, asks = [None] * len(searches), [next(search) for search in searches]
     while any(asks):
-        points = [x for ask in asks for x in ask]
-        t, r = solve_many(graph, np.array(points))
-        values = []
-        for x, ti, ri in zip(points, t.tolist(), r.tolist()):
-            if not (cmath.isfinite(ti) and cmath.isfinite(ri)) or \
-                    abs(abs(ti) ** 2 + abs(ri) ** 2 - 1.0) > SINGULAR_UNITARITY_TOL:
-                ti = scattering_limit(graph, x).t_global
-            values.append(abs(ti) ** 2)
+        points = np.array([x for ask in asks for x in ask])
+        t, _ = _repair(graph, points, *solve_many(graph, points))
+        # Python's abs, as in ScatteringResult.t2: numpy's can differ in the last bit.
+        values = [abs(ti) ** 2 for ti in t.tolist()]
         for i, ask in enumerate(asks):
             try:
                 asks[i] = searches[i].send(values[:len(ask)]) if ask else ()

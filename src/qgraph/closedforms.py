@@ -35,16 +35,11 @@ class UnitCirclePoleError(ArithmeticError):
 class RationalAmplitude:
     """Polynomial ratio num(z)/den(z), coefficients in ascending powers.
 
-    ``family`` tags the construction ("c3-symmetric", "c4-symmetric",
-    "cn-nk", "flawed-reduced", or "custom" for solver-extracted forms);
-    ``params`` records the defining parameters when there are any.  The
-    form must be in lowest terms: no root of den may also be a root of num.
+    The form must be in lowest terms: no root of den may be a root of num.
     """
 
     num: np.ndarray
     den: np.ndarray
-    family: str = "custom"
-    params: tuple = ()
 
     def __post_init__(self):
         num = np.atleast_1d(np.asarray(self.num, dtype=complex))
@@ -74,7 +69,7 @@ def eval_amplitude(amp: RationalAmplitude, kl: float) -> complex:
     return complex(npoly.polyval(z, amp.num)) / dv
 
 
-def _lowest_terms(num, den, family: str, params: tuple) -> RationalAmplitude:
+def _lowest_terms(num, den) -> RationalAmplitude:
     """Divide (1 - z) and (1 + z) out of num and den while both vanish there.
 
     These common roots are trapped modes at kl = 0 and kl = pi: standing
@@ -87,7 +82,7 @@ def _lowest_terms(num, den, family: str, params: tuple) -> RationalAmplitude:
         ):
             # Synthetic division by (1 - root z): q_k = p_k + root q_(k-1).
             num, den = ((w[: len(p)] * np.cumsum(w[: len(p)] * p))[:-1] for p in (num, den))
-    return RationalAmplitude(num, den, family=family, params=params)
+    return RationalAmplitude(num, den)
 
 
 def _check_symmetric_unitary(r, t, rp, tp, lead_degree: int) -> None:
@@ -142,7 +137,7 @@ def symmetric_c3_amplitude(r, t, r3, t3) -> RationalAmplitude:
         ],
         dtype=complex,
     )
-    return _lowest_terms(num, den, "c3-symmetric", (r, t, r3, t3))
+    return _lowest_terms(num, den)
 
 
 def symmetric_c4_amplitude(r, t, rp, tp) -> RationalAmplitude:
@@ -183,7 +178,7 @@ def symmetric_c4_amplitude(r, t, rp, tp) -> RationalAmplitude:
         ],
         dtype=complex,
     )
-    return _lowest_terms(num, den, "c4-symmetric", (r, t, rp, tp))
+    return _lowest_terms(num, den)
 
 
 def cycle_nk_amplitude(n: int) -> RationalAmplitude:
@@ -208,7 +203,7 @@ def cycle_nk_amplitude(n: int) -> RationalAmplitude:
     den[2 * (n - 1)] += -1
     den[n] += -8
     den[2 * n] += 1
-    return _lowest_terms(num, den, "cn-nk", (n,))
+    return _lowest_terms(num, den)
 
 
 def flawed_reduced_amplitude(n: int) -> RationalAmplitude:
@@ -228,9 +223,4 @@ def flawed_reduced_amplitude(n: int) -> RationalAmplitude:
         den = [9, 8, 0, 0, 0, 0, -1]
     else:
         raise ValueError("flawed reduced forms exist only for n = 3 and n = 4")
-    return RationalAmplitude(
-        np.array(num, dtype=complex),
-        np.array(den, dtype=complex),
-        family="flawed-reduced",
-        params=(n,),
-    )
+    return RationalAmplitude(np.array(num, dtype=complex), np.array(den, dtype=complex))

@@ -28,9 +28,8 @@ from numpy.polynomial import polynomial as npoly
 from .closedforms import RationalAmplitude
 from .graphs import QuantumGraph, subdivide_integral, validate_graph
 
-# A solve at real kl whose output breaks |t|^2 + |r|^2 = 1 worse than this is
-# treated as on-shell singular (the matrix is numerically rank deficient at a
-# perfectly trapped mode); callers fall back to the two-sided limit policy.
+# A solve at real kl off |t|^2 + |r|^2 = 1 by more than this is singular: the
+# matrix is numerically rank deficient at a perfectly trapped mode.
 SINGULAR_UNITARITY_TOL = 1e-6
 # Half-width of the two-sided limit that scattering_limit averages.
 LIMIT_OFFSET = 1e-9
@@ -186,9 +185,9 @@ def solve_many(graph: QuantumGraph, kl: np.ndarray):
     """Vectorized (t, r) over an array of wavenumbers; no singularity policy.
 
     Points where the system is near-singular come back non-finite or far from
-    unitary; sweep-level code repairs them.  The grid is solved in batches of
-    bounded memory; a grid of several batches is spread over the usable
-    cores, one batch per task writing its own slice of the output.  A
+    unitary; ``_repair`` gives them the limit policy.  The grid is solved in
+    batches of bounded memory; a grid of several batches is spread over the
+    usable cores, one batch per task writing its own slice of the output.  A
     point's (t, r) is bit for bit the same in any batch and on any core
     count.  A phase |kl| * length above MAX_PHASE raises ValueError.
     """
@@ -240,14 +239,16 @@ def scattering_matrix(graph: QuantumGraph, kl) -> ScatteringResult:
         )
 
     t, r = solve_many(graph, np.array([kl]))
-    t, r = complex(t[0]), complex(r[0])
-    on_shell = kl.imag == 0.0
-    if not (np.isfinite(t) and np.isfinite(r)):
+    if _singular(kl, t, r)[0]:
         raise ShellSingularityError(kl)
-    if on_shell and abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) > SINGULAR_UNITARITY_TOL:
-        raise ShellSingularityError(kl)
-    out_kl = kl.real if on_shell else kl
-    return ScatteringResult(kl=out_kl, t_global=t, r_global=r)
+    out_kl = kl.real if kl.imag == 0.0 else kl
+    return ScatteringResult(kl=out_kl, t_global=complex(t[0]), r_global=complex(r[0]))
+
+
+def _singular(kl, t, r) -> np.ndarray:
+    """Mask of singular solves: non-finite, or past SINGULAR_UNITARITY_TOL at real kl."""
+    defect = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
+    return ~(np.isfinite(t) & np.isfinite(r)) | (np.isreal(kl) & (defect > SINGULAR_UNITARITY_TOL))
 
 
 def scattering_limit(graph: QuantumGraph, kl: float) -> ScatteringResult:
@@ -270,6 +271,14 @@ def scattering_or_limit(graph: QuantumGraph, kl: float) -> ScatteringResult:
         return scattering_matrix(graph, kl)
     except ShellSingularityError:
         return scattering_limit(graph, kl)
+
+
+def _repair(graph: QuantumGraph, kl: np.ndarray, t: np.ndarray, r: np.ndarray):
+    """Replace the singular solves of (t, r) at real kl, in place, by scattering_limit."""
+    for i in np.nonzero(_singular(kl, t, r))[0]:
+        res = scattering_limit(graph, float(kl[i]))
+        t[i], r[i] = res.t_global, res.r_global
+    return t, r
 
 
 def green_function_value(graph: QuantumGraph, x_i: float, x_f: float, kl: float) -> complex:
@@ -363,15 +372,12 @@ def _extract_channels(graph: QuantumGraph) -> tuple:
     den = den[: keep.nonzero()[0].max() + 1]
 
     amps = []
-    for channel, out, direct in (
-        ("transmission", system.out_t, system.direct_t),
-        ("reflection", system.out_r, system.direct_r),
-    ):
+    for out, direct in ((system.out_t, system.direct_t), (system.out_r, system.direct_r)):
         vals = a @ (out @ basis) + direct
         num = poly_coeffs(vals * dets, order) / raw_den[0]
         keepn = np.abs(num) > 1e-11 * max(float(np.max(np.abs(num))), 1e-30)
         num = num[: keepn.nonzero()[0].max() + 1] if keepn.any() else np.zeros(1, complex)
-        amps.append(RationalAmplitude(num, den, family="custom", params=(channel,)))
+        amps.append(RationalAmplitude(num, den))
     return tuple(amps)
 
 
@@ -401,7 +407,7 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
 
 
 def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
-    """(t, r) on a real grid, by the rational forms or by the dense solver."""
+    """Repaired (t, r) on a real grid, by the rational forms or by the dense solver."""
     system = assemble_bond_system(graph)
     nb = system.bond_count
     # Exact integers only: the forms subdivide rounded lengths, which would
@@ -413,5 +419,9 @@ def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
             t_amp, r_amp = _extract_channels(graph)
             z = np.exp(1j * grid)
             den = npoly.polyval(z, t_amp.den)
-            return npoly.polyval(z, t_amp.num) / den, npoly.polyval(z, r_amp.num) / den
-    return solve_many(graph, grid)
+            t, r = npoly.polyval(z, t_amp.num) / den, npoly.polyval(z, r_amp.num) / den
+            bad = _singular(grid, t, r)
+            if bad.any():
+                t[bad], r[bad] = _repair(graph, grid[bad], *solve_many(graph, grid[bad]))
+            return t, r
+    return _repair(graph, grid, *solve_many(graph, grid))

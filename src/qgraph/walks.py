@@ -77,11 +77,15 @@ class WalkStats:
     hitting_time: float
 
 
-def _recurrence(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients of num/den via c_m = (num_m - sum den_j c_{m-j})/den_0."""
+def _recurrence(num: np.ndarray, den: np.ndarray, order: int, head=()) -> np.ndarray:
+    """Taylor coefficients of num/den via c_m = (num_m - sum den_j c_{m-j})/den_0.
+
+    An earlier expansion ``head`` is extended: its coefficients are copied.
+    """
     c = np.zeros(order + 1, dtype=complex)
+    c[:len(head)] = head
     d0 = den[0]
-    for m in range(order + 1):
+    for m in range(len(head), order + 1):
         acc = num[m] if m < len(num) else 0.0
         jmax = min(m, len(den) - 1)
         if jmax:
@@ -177,11 +181,13 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
     """P(m), p_out and conditional hitting time from the certified series.
 
     Expands the series to orders 64 * 2^j, skipping those below
-    len(num) + deg den, until the geometric tail keeps the hitting-time
-    truncation error below ``tolerance``; past order ORDER_CAP a
-    TruncationError refuses.  Step counts start at m = 1 (c_0 is a
-    zero-step process, nonzero only when both leads share a vertex, and is
-    excluded from the sums).  The tolerance must lie in (0, inf).
+    len(num) + deg den and extending the previous expansion each time,
+    until the geometric tail keeps the hitting-time truncation error below
+    ``tolerance``; past order ORDER_CAP a TruncationError refuses.  Step
+    counts start at m = 1 (c_0 is a zero-step process, nonzero only when
+    both leads share a vertex, and is excluded from the sums).  A form with
+    no weight at m >= 1 is a constant, whose hitting time is undefined: it
+    raises ValueError.  The tolerance must lie in (0, inf).
     """
     if not (0 < tolerance < np.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -192,12 +198,16 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
         order *= 2
     if order > ORDER_CAP:
         raise TruncationError(f"a form of this degree needs order {order} > {ORDER_CAP}")
+    c = ()
     while True:
-        c = taylor_coefficients(amp, order).coefficients
+        # WalkSeries refuses a total weight above 1, checked on every round.
+        c = WalkSeries(coefficients=_recurrence(amp.num, amp.den, order, c),
+                       order=order).coefficients
         p = np.abs(c) ** 2
         p_out = float(p[1:].sum())
         if p_out <= 0.0:
-            raise TruncationError("no transmitted weight up to this order")
+            # order >= len(num) + deg den, so every later coefficient is 0 too.
+            raise ValueError("no transmitted weight at steps m >= 1; the amplitude is constant")
         h = float(np.dot(np.arange(1, len(p), dtype=float), p[1:])) / p_out
         err = _geometric_tail(c, rho, max(32, degree)) * (1.0 + h) / p_out
         if err < tolerance:
@@ -220,8 +230,10 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     sum |c_m|^2 is the mean of |T|^2 and sum m |c_m|^2 the mean of
     Re[conj(T) z T'(z)].  Periodic trapezoid sums converge exponentially for
     these analytic integrands; the form must be in lowest terms, so no
-    removable 0/0 sits on the circle.  P(m) is not resolved by this route,
-    so p_of_m comes back empty.
+    removable 0/0 sits on the circle.  As on the series route, p_out counts
+    steps m >= 1: the zero-step weight |c_0|^2 is taken off the mean, and a
+    form with nothing left raises ValueError.  P(m) is not resolved by this
+    route, so p_of_m comes back empty.
     """
     _pole_radius(amp)  # raises on a unit-circle pole
     dnum = npoly.polyder(amp.num)
@@ -257,5 +269,8 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
             f"mean |T|^2 = {p_out:.6f} is outside (0, 1]; "
             "amplitude is not flux-conserving"
         )
+    p_out -= float(abs(amp.num[0] / amp.den[0])) ** 2
+    if p_out <= 0.0:
+        raise ValueError("no transmitted weight at steps m >= 1; the amplitude is constant")
     h = moment / p_out
     return WalkStats(p_of_m=np.zeros(0), p_out=p_out, hitting_time=h)

@@ -193,6 +193,55 @@ def test_batched_refinement_applies_the_singular_point_policy(monkeypatch):
     assert abs(values[1] - 1.0) < 1e-9
 
 
+def _poison_near(monkeypatch, center, width):
+    # every solve within width of center comes back non-finite
+    import qgraph.solver as solver_mod
+
+    clean = solver_mod._solve_bonds
+
+    def poisoned(system, kl):
+        out = clean(system, kl)
+        out[np.abs(kl - center) < width] = np.nan
+        return out
+
+    monkeypatch.setattr(solver_mod, "_solve_bonds", poisoned)
+
+
+@pytest.mark.parametrize("samples", [11, 201])
+def test_a_singular_limit_propagates_from_a_sweep(samples, monkeypatch):
+    # 11 points take the solver route, 201 the rational route.  Doubling the
+    # transmission numerator makes every rational value fail the unitarity
+    # test, so each point must go to the solver.
+    import qgraph.solver as solver_mod
+
+    graph = qg.make_cycle_graph(3)
+    forms, used = solver_mod._extract_channels, []
+
+    def doubled(graph):
+        t_amp, r_amp = forms(graph)
+        used.append(graph)
+        return qg.RationalAmplitude(2 * t_amp.num, t_amp.den), r_amp
+
+    monkeypatch.setattr(solver_mod, "_extract_channels", doubled)
+    t, r = qg.solve_many(graph, np.linspace(1.0, 2.0, samples))
+    sweep = qg.sweep_transmission(graph, 1.0, 2.0, samples)
+    assert bool(used) == (samples == 201)
+    assert np.array_equal(sweep.t, t) and np.array_equal(sweep.r, r)
+
+    _poison_near(monkeypatch, 1.5, 1e-8)  # kl = 1.5 and 1.5 +- 1e-9
+    with pytest.raises(qg.ShellSingularityError):
+        qg.sweep_transmission(graph, 1.0, 2.0, samples)
+
+
+def test_a_singular_limit_propagates_from_peak_refinement(monkeypatch):
+    graph = qg.compose_series(qg.parse_series_shorthand("c3-c3"))
+    sweep = _peak_sweep(graph)
+    center = qg.detect_peaks(sweep)[0].center
+    _poison_near(monkeypatch, center, 1e-3)  # the whole golden-section bracket
+    with pytest.raises(qg.ShellSingularityError):
+        qg.detect_peaks(sweep)
+
+
 @pytest.mark.parametrize("source", ["c3", "c4", "c3-c3"])
 def test_transmission_is_symmetric_about_pi(source):
     if "-" in source:

@@ -139,6 +139,36 @@ def test_edgeless_graph_transmits_directly(tmp_path, capsys):
     assert row == [1.0, 1.0, 0.0, 1.0, 0.0]
 
 
+def test_edgeless_graph_has_no_hitting_time(tmp_path, capsys):
+    # t is the constant direct amplitude: no walk ever exits, a usage error
+    path = tmp_path / "edgeless.json"
+    path.write_text(
+        '{"vertices": [{"id": 1, "bc": "nk"}], "edges": [], '
+        '"leads": [{"vertex": 1}, {"vertex": 1}]}'
+    )
+    code, out, err = run(capsys, "hitting", "--graph", str(path))
+    assert code == 1 and out == ""
+    assert "qgraph: error: no transmitted weight" in err
+
+
+def test_a_singular_limit_exits_two(monkeypatch, capsys):
+    # the solve at kl = 1.5 and at 1.5 +- 1e-9 is non-finite
+    import qgraph.solver as solver_mod
+
+    clean = solver_mod._solve_bonds
+
+    def poisoned(system, kl):
+        out = clean(system, kl)
+        out[np.abs(kl - 1.5) < 1e-8] = np.nan
+        return out
+
+    monkeypatch.setattr(solver_mod, "_solve_bonds", poisoned)
+    code, out, err = run(capsys, "sweep", "--graph", "c3", "--kl-min", "1",
+                         "--kl-max", "2", "--samples", "11")
+    assert code == 2 and out == ""
+    assert "singular on the energy shell" in err
+
+
 def test_length_scale_shifts_the_spectrum(capsys):
     # doubling the lengths halves the wavenumber of every feature
     _, out_scaled, _ = run(

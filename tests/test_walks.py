@@ -127,10 +127,16 @@ def test_square_hitting_time_matches_exact_fraction():
 
 
 @pytest.mark.parametrize(
-    "source", ["c3", "c4", "c3-c3", "c4-c4", "c3-c4-c3", "c3+c3", "c3+c4+c3"]
+    "source", ["c3", "c4", "c3-c3", "c4-c4", "c3-c4-c3", "c3+c3", "c3+c4+c3", "shared-c3"]
 )
 def test_quadrature_route_agrees_with_series(source):
-    graph = qg.compose_series(qg.parse_series_shorthand(source))
+    # shared-c3: both leads on one triangle vertex, so c_0 = 1/2 is a
+    # zero-step weight that neither route may count
+    if source == "shared-c3":
+        bare = qg.strip_leads(qg.make_cycle_graph(3))
+        graph = qg.attach_lead(qg.attach_lead(bare, 1), 1)
+    else:
+        graph = qg.compose_series(qg.parse_series_shorthand(source))
     amp = qg.extract_rational_amplitude(graph)
     series_stats = qg.walk_stats_to_tolerance(amp)
     quad_stats = qg.walk_stats_by_quadrature(amp)
@@ -147,8 +153,12 @@ def test_truncation_error_when_order_is_too_low():
 
 
 def test_no_transmitted_weight_is_reported():
-    with pytest.raises(qg.TruncationError, match="no transmitted weight"):
-        qg.walk_stats_to_tolerance(qg.RationalAmplitude([0.5], [1.0]))
+    # a constant form has weight only at m = 0: no truncation is involved
+    constant = qg.RationalAmplitude([0.5], [1.0])
+    with pytest.raises(ValueError, match="no transmitted weight"):
+        qg.walk_stats_to_tolerance(constant)
+    with pytest.raises(ValueError, match="no transmitted weight"):
+        qg.walk_stats_by_quadrature(constant)
 
 
 def test_polynomial_form_is_summed_exactly():
