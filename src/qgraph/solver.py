@@ -307,6 +307,15 @@ def green_function_value(graph: QuantumGraph, x_i: float, x_f: float, kl: float)
 # det(I - z S) is the shared denominator without those roots.  Sampling t*det
 # and det on a circle |z| = rho < 1 and taking an FFT then recovers the
 # polynomial coefficients to near machine precision.
+#
+# The samples cost O(k^2) each for a reduced system of order k.  One unitary
+# similarity, O(k^3) once, brings the reduced map to upper Hessenberg form H
+# with the injection along e_1.  At every sample an unpivoted elimination of
+# I - z H then needs only the previous pivot row: it yields det(I - z H), and
+# a running forward substitution along the same rows gives
+# c^T (I - z H)^{-1} e_1 for both readouts.  No pivoting is needed: ||S|| <= 1
+# (the vertex matrices are unitary), so the Hermitian part of I - z H is at
+# least (1 - rho) I.  Work is O(k^3 + n_fft k^2), memory O(n_fft k).
 # ---------------------------------------------------------------------------
 
 _EXTRACT_RHO = 0.95
@@ -330,6 +339,67 @@ def _coupled_basis(smatrix: np.ndarray) -> np.ndarray:
     return vecs[:, trapped < 0.5]
 
 
+def _hessenberg(smat: np.ndarray, inj: np.ndarray):
+    """(H, Q, beta): H = Q^H smat Q upper Hessenberg, Q^H inj = beta e_1.
+
+    Householder steps on the augmented matrix [inj | smat]: step j zeroes
+    column j below row j, by a reflector applied from the left to every
+    column and from the right to the columns of smat, so it is a similarity.
+    Column 0 is inj, and column j > 0 is column j - 1 of H.
+    """
+    k = len(inj)
+    g = np.column_stack([inj, smat]).astype(complex)
+    q = np.eye(k, dtype=complex)
+    for j in range(k - 1):
+        x = g[j:, j]
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            continue
+        v = x.copy()
+        v[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
+        v /= np.linalg.norm(v)
+        g[j:, j:] -= 2.0 * np.outer(v, v.conj() @ g[j:, j:])
+        g[:, j + 1:] -= 2.0 * np.outer(g[:, j + 1:] @ v, v.conj())
+        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v.conj())
+        g[j + 1:, j] = 0.0
+    beta = g[0, 0] if k else 0.0
+    return g[:, 1:], q, beta
+
+
+def _hessenberg_samples(h: np.ndarray, rows: np.ndarray, z: np.ndarray):
+    """det(I - z H) and rows (I - z H)^{-1} e_1 at every z, for H upper Hessenberg.
+
+    Unpivoted LU, I - z H = L U with L unit lower bidiagonal, row by row:
+    U's row i needs only row i - 1, det is the product of U's diagonal, and
+    L^{-1} e_1 is a running product of the multipliers.  rows U^{-1} comes
+    from forward substitution on U^T, accumulated as each row of U appears.
+    Arrays are (column, sample), so shrinking to the trailing columns slices
+    contiguous memory.
+    """
+    k, n = h.shape[0], len(z)
+    det = np.ones(n, dtype=complex)
+    readout = np.zeros((len(rows), n), dtype=complex)
+    # acc[:, j] = sum over finished rows i of U[i, j] w_i, for j past them.
+    acc = np.zeros((len(rows), k, n), dtype=complex)
+    ell_inv_e1 = np.ones(n, dtype=complex)
+    minus_z = -z
+    prev = None
+    for i in range(k):
+        u = np.multiply.outer(h[i, i:], minus_z)
+        u[0] += 1.0
+        if i:
+            mult = minus_z * h[i, i - 1] / prev[0]
+            u -= mult * prev[1:]
+            ell_inv_e1 *= -mult
+        det *= u[0]
+        w = (rows[:, i, None] - acc[:, i]) / u[0]
+        readout += w * ell_inv_e1
+        for a, wa in zip(acc, w):
+            a[i + 1:] += wa * u[1:]
+        prev = u
+    return det, readout
+
+
 def _sample_count(order: int) -> int:
     """FFT samples the extractor takes for a reduced system of this order."""
     # The smallest power of two >= 8 (order + 2), exact for any integer order.
@@ -340,24 +410,23 @@ def _sample_count(order: int) -> int:
 def _extract_channels(graph: QuantumGraph) -> tuple:
     """Lowest-terms (transmission, reflection) forms of an integral graph.
 
-    One reduction and one batch of det/solve samples serve both channels,
+    One reduction and one sweep of Hessenberg samples serve both channels,
     which share the denominator.  Cached per graph object, like the
     assembled bond system.
     """
     system = assemble_bond_system(subdivide_integral(graph))
     basis = _coupled_basis(system.smatrix)
-    smat = basis.conj().T @ system.smatrix @ basis
-    inj = basis.conj().T @ system.inj
-    order = smat.shape[0]
+    h, q, beta = _hessenberg(basis.conj().T @ system.smatrix @ basis,
+                             basis.conj().T @ system.inj)
+    order = h.shape[0]
+    outs = ((system.out_t, system.direct_t), (system.out_r, system.direct_r))
+    rows = np.array([beta * (out @ basis @ q) for out, _ in outs])
 
     n = _sample_count(order)
     rho = _EXTRACT_RHO
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     z = rho * np.exp(1j * theta)
-
-    m = np.eye(order, dtype=complex)[None] - z[:, None, None] * smat
-    dets = np.linalg.det(m)
-    a = np.linalg.solve(m, (z[:, None] * inj)[..., None])[..., 0]
+    dets, readouts = _hessenberg_samples(h, rows, z)
 
     def poly_coeffs(samples, degree):
         raw = np.fft.fft(samples)[: degree + 1]
@@ -372,9 +441,10 @@ def _extract_channels(graph: QuantumGraph) -> tuple:
     den = den[: keep.nonzero()[0].max() + 1]
 
     amps = []
-    for out, direct in ((system.out_t, system.direct_t), (system.out_r, system.direct_r)):
-        vals = a @ (out @ basis) + direct
-        num = poly_coeffs(vals * dets, order) / raw_den[0]
+    for (_, direct), readout in zip(outs, readouts):
+        num = poly_coeffs((direct + z * readout) * dets, order) / raw_den[0]
+        # det(0) = 1, so the z^0 coefficient is the direct term exactly.
+        num[0] = direct
         keepn = np.abs(num) > 1e-11 * max(float(np.max(np.abs(num))), 1e-30)
         num = num[: keepn.nonzero()[0].max() + 1] if keepn.any() else np.zeros(1, complex)
         amps.append(RationalAmplitude(num, den))

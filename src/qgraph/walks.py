@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .closedforms import RationalAmplitude, UnitCirclePoleError
 from .graphs import QuantumGraph, subdivide_integral
@@ -32,6 +31,10 @@ MARGINAL_MODE_CUTOFF = 1e-9
 
 # Highest truncation order walk_stats_to_tolerance expands before refusing.
 ORDER_CAP = 32768
+
+# Coefficients the series recurrence advances per matrix product once its
+# stretch is homogeneous.
+_BLOCK = 64
 
 
 class TruncationError(ArithmeticError):
@@ -81,17 +84,47 @@ def _recurrence(num: np.ndarray, den: np.ndarray, order: int, head=()) -> np.nda
     """Taylor coefficients of num/den via c_m = (num_m - sum den_j c_{m-j})/den_0.
 
     An earlier expansion ``head`` is extended: its coefficients are copied.
+    A long enough homogeneous stretch (m >= len(num) and m >= deg den)
+    advances _BLOCK coefficients per matrix product (see _block_matrix);
+    the rest runs the scalar loop.
     """
     c = np.zeros(order + 1, dtype=complex)
     c[:len(head)] = head
     d0 = den[0]
-    for m in range(len(head), order + 1):
+    degree = len(den) - 1
+    block_start = max(len(head), len(num), degree)
+    # Building the block matrix costs at most about as much as
+    # 4 max(_BLOCK, deg den) scalar steps; a shorter stretch would not repay it.
+    blocked = degree > 0 and order + 1 - block_start >= 4 * max(_BLOCK, degree)
+    for m in range(len(head), block_start if blocked else order + 1):
         acc = num[m] if m < len(num) else 0.0
-        jmax = min(m, len(den) - 1)
+        jmax = min(m, degree)
         if jmax:
             acc -= np.dot(den[1:jmax + 1], c[m - 1::-1][:jmax])
         c[m] = acc / d0
+    if blocked:
+        step = _block_matrix(den)
+        for m in range(block_start, order + 1, _BLOCK):
+            c[m:m + _BLOCK] = (step @ c[m - degree:m])[:order + 1 - m]
     return c
+
+
+def _block_matrix(den: np.ndarray) -> np.ndarray:
+    """A = -L^{-1} U, the (_BLOCK x deg den) map c[m - deg den:m] -> c[m:m + _BLOCK].
+
+    Valid where the recurrence is homogeneous.  L is the lower-triangular
+    Toeplitz matrix of den (the terms of c[m:m + _BLOCK] themselves) and U
+    holds the den terms that reach back before m.  Row i writes c_{m+i} in
+    the previous deg den coefficients.  The rows are built by doubling: with
+    the first b rows known, rows b..2b-1 are the same rows applied to the
+    state b steps on, which those rows (and the identity) give.
+    """
+    degree = len(den) - 1
+    rows = -(den[:0:-1] / den[0])[None, :]
+    while len(rows) < _BLOCK:
+        state = np.vstack([np.eye(degree), rows])[len(rows):len(rows) + degree]
+        rows = np.vstack([rows, rows @ state])
+    return rows[:_BLOCK]
 
 
 def _geometric_tail(coeffs: np.ndarray, rho, state: int) -> float:
@@ -223,6 +256,20 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
     return WalkStats(p_of_m=p, p_out=p_out, hitting_time=h)
 
 
+def _on_offset_nodes(polys, n: int) -> np.ndarray:
+    """Values of each coefficient row at z_j = e^{i pi (2j + 1)/n}, j < n.
+
+    z_j^k = e^{i pi k/n} e^{2 pi i jk/n}, so twisting coefficient k by
+    e^{i pi k/n} leaves a length-n inverse DFT.  The second factor has
+    period n in k, so a row longer than n folds onto k mod n and stays exact.
+    """
+    folded = np.zeros((len(polys), n), dtype=complex)
+    for row, c in zip(folded, polys):
+        twisted = c * np.exp(1j * np.pi * np.arange(len(c)) / n)
+        row += np.pad(twisted, (0, -len(c) % n)).reshape(-1, n).sum(axis=0)
+    return np.fft.ifft(folded, norm="forward")
+
+
 def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     """p_out and hitting time by quadrature on the unit circle.
 
@@ -236,22 +283,19 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     route, so p_of_m comes back empty.
     """
     _pole_radius(amp)  # raises on a unit-circle pole
-    dnum = npoly.polyder(amp.num)
-    dden = npoly.polyder(amp.den)
+    num, den = amp.num, amp.den
+    polys = (num, den, np.arange(len(num)) * num, np.arange(len(den)) * den)
 
-    def integrands(theta):
-        z = np.exp(1j * theta)
-        nv = npoly.polyval(z, amp.num)
-        dv = npoly.polyval(z, amp.den)
+    def integrands(n):
+        nv, dv, znv, zdv = _on_offset_nodes(polys, n)
         t = nv / dv
-        dt = (npoly.polyval(z, dnum) * dv - nv * npoly.polyval(z, dden)) / dv**2
-        return np.abs(t) ** 2, np.real(np.conj(t) * z * dt)
+        zdt = (znv * dv - nv * zdv) / dv**2
+        return np.abs(t) ** 2, np.real(np.conj(t) * zdt)
 
     prev = None
     n = 512
     while n <= (1 << 19):
-        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        w2, s1 = integrands(theta)
+        w2, s1 = integrands(n)
         p_out = float(np.mean(w2))
         moment = float(np.mean(s1))
         if prev is not None:

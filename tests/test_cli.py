@@ -340,3 +340,20 @@ def test_identical_invocations_are_bit_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("source", ["c3", "shared-c3"])
+def test_zero_step_coefficient_is_the_direct_term_on_both_routes(source, tmp_path, capsys):
+    # det(I - z S) is 1 at z = 0, so the series c_0 is the direct lead-to-lead
+    # amplitude exactly (0 for c3, 1/2 with both leads on one vertex), not FFT noise
+    if source == "shared-c3":
+        bare = qg.strip_leads(qg.make_cycle_graph(3))
+        source = str(tmp_path / "shared.json")
+        qg.dump_graph(qg.attach_lead(qg.attach_lead(bare, 1), 1), source)
+    code, series, _ = run(capsys, "walk", "--graph", source, "--max-order", "0")
+    assert code == 0
+    code, power, _ = run(
+        capsys, "walk", "--graph", source, "--max-order", "0", "--method", "power"
+    )
+    assert code == 0
+    assert series == power

@@ -292,3 +292,46 @@ def test_extracted_amplitude_reproduces_solver(text):
     t = np.array([qg.scattering_or_limit(graph, x).t_global for x in kl])
     closed = np.array([qg.eval_amplitude(amp, x) for x in kl])
     assert np.max(np.abs(t - closed)) < 1e-10
+
+
+def _padded_gap(a, b):
+    size = max(len(a), len(b))
+    return np.max(np.abs(np.pad(a, (0, size - len(a))) - np.pad(b, (0, size - len(b)))))
+
+
+@pytest.mark.parametrize("n", [48, 64, 80, 99])
+def test_extracted_forms_match_the_closed_cycle_forms(n):
+    # large rings: the Hessenberg samples keep the coefficients of the
+    # closed NK form, normalized to den(0) = 1 like the extracted one
+    amp = qg.extract_rational_amplitude(qg.make_cycle_graph(n))
+    closed = qg.cycle_nk_amplitude(n)
+    assert _padded_gap(amp.num, closed.num / closed.den[0]) < 1e-11
+    assert _padded_gap(amp.den, closed.den / closed.den[0]) < 1e-11
+
+
+def test_extraction_memory_grows_with_samples_times_order():
+    # c60 reduces to order 118 and takes 1024 samples: an (n_fft, k, k)
+    # batch would hold 228 MB, the Hessenberg sweep an (n_fft, k) array
+    import tracemalloc
+
+    graph = qg.make_cycle_graph(60)
+    tracemalloc.start()
+    try:
+        qg.extract_rational_amplitude(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_hessenberg_reduction_puts_the_injection_on_e1():
+    from qgraph.solver import _hessenberg
+
+    rng = np.random.default_rng(7)
+    smat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    inj = rng.normal(size=9) + 1j * rng.normal(size=9)
+    h, q, beta = _hessenberg(smat, inj)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(9))) < 1e-13
+    assert np.max(np.abs(q.conj().T @ smat @ q - h)) < 1e-13
+    assert np.all(np.tril(h, -2) == 0)
+    assert np.max(np.abs(q.conj().T @ inj - beta * np.eye(9)[0])) < 1e-13

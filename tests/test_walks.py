@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qgraph as qg
-from qgraph.walks import _geometric_tail, _pole_radius, taylor_coefficients
+from qgraph.walks import _geometric_tail, _on_offset_nodes, _pole_radius, taylor_coefficients
 
 
 def _series(graph, order):
@@ -217,3 +217,80 @@ def test_quadrature_rejects_flux_violations():
     amp = qg.RationalAmplitude(num=[2.0], den=[1.0])
     with pytest.raises(ValueError, match="flux"):
         qg.walk_stats_by_quadrature(amp)
+
+
+def _scalar_recurrence(num, den, order):
+    # reference: one coefficient at a time, c_m = (num_m - sum den_j c_{m-j}) / den_0
+    c = np.zeros(order + 1, dtype=complex)
+    for m in range(order + 1):
+        acc = num[m] if m < len(num) else 0.0
+        for j in range(1, min(m, len(den) - 1) + 1):
+            acc -= den[j] * c[m - j]
+        c[m] = acc / den[0]
+    return c
+
+
+def _stable_form(rng, degree, num_len):
+    # den(z) = prod (1 - z / root), every root outside the unit circle
+    roots = (1.05 + 2.0 * rng.random(degree)) * np.exp(2j * np.pi * rng.random(degree))
+    den = np.poly(1.0 / roots)
+    num = rng.normal(size=num_len) + 1j * rng.normal(size=num_len)
+    return num, den
+
+
+@pytest.mark.parametrize(
+    "degree, num_len, order, head_order",
+    [
+        (1, 1, 700, None),  # random stable denominators
+        (3, 3, 900, None),
+        (8, 8, 1000, None),
+        (17, 12, 1500, None),
+        (4, 300, 1200, None),  # numerator longer than the denominator
+        (0, 50, 600, None),  # constant denominator
+        (6, 6, 1000, 300),  # extends a head; 700 new coefficients end mid-block
+        (6, 6, 1001, 1000),  # extends by one coefficient
+        (6, 6, 40, None),  # shorter than one block
+    ],
+)
+def test_block_recurrence_matches_the_scalar_loop(degree, num_len, order, head_order, monkeypatch):
+    import qgraph.walks as walks_mod
+
+    rng = np.random.default_rng(degree * 1000 + num_len + order)
+    num, den = _stable_form(rng, degree, num_len)
+    if degree == 0:
+        den = np.array([2.0 + 1.0j])
+    head = () if head_order is None else walks_mod._recurrence(num, den, head_order)
+    blocks = []
+    real = walks_mod._block_matrix
+    monkeypatch.setattr(walks_mod, "_block_matrix", lambda d: blocks.append(d) or real(d))
+    c = walks_mod._recurrence(num, den, order, head)
+    ref = _scalar_recurrence(num, den, order)
+    assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the long homogeneous stretches above do take the block path
+    stretch = order + 1 - max(num_len, degree, len(head))
+    assert bool(blocks) == (degree > 0 and stretch >= 4 * walks_mod._BLOCK)
+
+
+@pytest.mark.parametrize("shift", [0, 600])
+def test_quadrature_folds_forms_longer_than_its_nodes(shift):
+    # z^700 exits after exactly 700 steps; z^600 t_c3 is c3's walk delayed
+    # by 600 steps.  Both have more coefficients than the first 512 nodes.
+    if shift == 0:
+        num = np.zeros(701)
+        num[700] = 1.0
+        amp, p_exact, h_exact = qg.RationalAmplitude(num, [1.0]), 1.0, 700.0
+    else:
+        c3 = qg.extract_rational_amplitude(qg.make_cycle_graph(3))
+        ref = qg.walk_stats_to_tolerance(c3)
+        amp = qg.RationalAmplitude(np.concatenate([np.zeros(shift), c3.num]), c3.den)
+        p_exact, h_exact = ref.p_out, ref.hitting_time + shift
+    for stats in (qg.walk_stats_to_tolerance(amp), qg.walk_stats_by_quadrature(amp)):
+        assert abs(stats.p_out - p_exact) < 1e-10
+        assert abs(stats.hitting_time - h_exact) < 1e-8
+    # a wrong fold would only cost the quadrature one more doubling, so the
+    # 512 node values are checked against Horner's rule, itself off by
+    # about degree * eps
+    z = np.exp(1j * np.pi * (2 * np.arange(512) + 1) / 512)
+    values = _on_offset_nodes((amp.num, amp.den), 512)
+    assert np.max(np.abs(values[0] - np.polynomial.polynomial.polyval(z, amp.num))) < 1e-10
+    assert np.max(np.abs(values[1] - np.polynomial.polynomial.polyval(z, amp.den))) < 1e-10
