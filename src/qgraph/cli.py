@@ -15,6 +15,7 @@ atomically, so identical invocations produce bit-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -43,7 +44,7 @@ from .walks import (
     coefficients_via_power_iteration,
     taylor_coefficients,
     walk_stats_by_quadrature,
-    walk_stats_to_tolerance,
+    walk_stats_exact,
 )
 
 _PRESET_RE = re.compile(r"[cC](\d+)\Z")
@@ -123,9 +124,8 @@ def cmd_walk(args) -> str:
 
 def cmd_hitting(args) -> str:
     graph = _graph_of(args)
-    amp = extract_rational_amplitude(graph)
-    stats = walk_stats_to_tolerance(amp, tolerance=args.tolerance)
-    quad = walk_stats_by_quadrature(amp)
+    stats = walk_stats_exact(graph, tolerance=args.tolerance)
+    quad = walk_stats_by_quadrature(extract_rational_amplitude(graph))
     return (
         f"h = {_fmt(stats.hitting_time)}\n"
         f"p_out = {_fmt(stats.p_out)}\n"
@@ -196,9 +196,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # One parser per process; its handlers look their callees up at call time.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.handler(args)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

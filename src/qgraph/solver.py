@@ -407,6 +407,27 @@ def _sample_count(order: int) -> int:
 
 
 @lru_cache(maxsize=128)
+def _reduce(graph: QuantumGraph) -> tuple:
+    """(system, H, rows): the unit-bond map of an integral graph, reduced.
+
+    ``system`` is the subdivided graph's bond system, H its map restricted
+    to the modes that couple to a lead, in Hessenberg form with the
+    injection along e_1, and ``rows`` the (transmission, reflection)
+    readouts in that basis, scaled by the injection's norm: for m >= 1 the
+    walk amplitude is c_m = rows H^(m-1) e_1.  Cached per graph object, so
+    extraction and the exact walk statistics share one reduction.
+    """
+    system = assemble_bond_system(subdivide_integral(graph))
+    basis = _coupled_basis(system.smatrix)
+    h, q, beta = _hessenberg(basis.conj().T @ system.smatrix @ basis,
+                             basis.conj().T @ system.inj)
+    rows = np.array([beta * (out @ basis @ q) for out in (system.out_t, system.out_r)])
+    for arr in (h, rows):
+        arr.setflags(write=False)
+    return system, h, rows
+
+
+@lru_cache(maxsize=128)
 def _extract_channels(graph: QuantumGraph) -> tuple:
     """Lowest-terms (transmission, reflection) forms of an integral graph.
 
@@ -414,13 +435,9 @@ def _extract_channels(graph: QuantumGraph) -> tuple:
     which share the denominator.  Cached per graph object, like the
     assembled bond system.
     """
-    system = assemble_bond_system(subdivide_integral(graph))
-    basis = _coupled_basis(system.smatrix)
-    h, q, beta = _hessenberg(basis.conj().T @ system.smatrix @ basis,
-                             basis.conj().T @ system.inj)
+    system, h, rows = _reduce(graph)
     order = h.shape[0]
-    outs = ((system.out_t, system.direct_t), (system.out_r, system.direct_r))
-    rows = np.array([beta * (out @ basis @ q) for out, _ in outs])
+    directs = (system.direct_t, system.direct_r)
 
     n = _sample_count(order)
     rho = _EXTRACT_RHO
@@ -441,7 +458,7 @@ def _extract_channels(graph: QuantumGraph) -> tuple:
     den = den[: keep.nonzero()[0].max() + 1]
 
     amps = []
-    for (_, direct), readout in zip(outs, readouts):
+    for direct, readout in zip(directs, readouts):
         num = poly_coeffs((direct + z * readout) * dets, order) / raw_den[0]
         # det(0) = 1, so the z^0 coefficient is the direct term exactly.
         num[0] = direct

@@ -9,9 +9,10 @@ exit lead, and h = sum m P(m) / p_out the conditional hitting time.
 Coefficients come from two independent routes that cross-check each other:
 a linear recurrence on the rational amplitude, and direct power iteration of
 the bond map.  Both return coefficients only.  The statistics come from
-walk_stats_to_tolerance, which bounds the truncation error with one
-geometric tail rule set by the smallest pole radius, and independently from
-quadrature on the unit circle.
+three routes: walk_stats_exact sums the series exactly through the reduced
+bond map's Gramians, walk_stats_to_tolerance truncates the series under one
+geometric tail rule set by the smallest pole radius, and
+walk_stats_by_quadrature integrates on the unit circle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .closedforms import RationalAmplitude, UnitCirclePoleError
 from .graphs import QuantumGraph, subdivide_integral
-from .solver import assemble_bond_system
+from .solver import _reduce, assemble_bond_system
 
 # A pole radius at most this far outside the unit circle is refused: flux
 # conservation puts every pole of a lowest-terms form strictly outside, and
@@ -31,6 +32,16 @@ MARGINAL_MODE_CUTOFF = 1e-9
 
 # Highest truncation order walk_stats_to_tolerance expands before refusing.
 ORDER_CAP = 32768
+
+# walk_stats_exact stops squaring once ||H^N||_F^2 falls below
+# GRAMIAN_STOP, and refuses after GRAMIAN_SQUARINGS squarings.
+GRAMIAN_STOP = 1e-17
+GRAMIAN_SQUARINGS = 64
+
+# The circle quadrature stops doubling its node count at
+# QUADRATURE_MAX_NODES, and evaluates at most QUADRATURE_CHUNK nodes per FFT.
+QUADRATURE_MAX_NODES = 1 << 19
+QUADRATURE_CHUNK = 1 << 14
 
 # Coefficients the series recurrence advances per matrix product once its
 # stretch is homogeneous.
@@ -256,18 +267,105 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
     return WalkStats(p_of_m=p, p_out=p_out, hitting_time=h)
 
 
-def _on_offset_nodes(polys, n: int) -> np.ndarray:
-    """Values of each coefficient row at z_j = e^{i pi (2j + 1)/n}, j < n.
+def _gramian_stats(h: np.ndarray, row: np.ndarray, tolerance: float) -> WalkStats:
+    """p_out and hitting time of c_m = row H^(m-1) e_1 by Smith's squared Stein iteration.
 
-    z_j^k = e^{i pi k/n} e^{2 pi i jk/n}, so twisting coefficient k by
-    e^{i pi k/n} leaves a length-n inverse DFT.  The second factor has
-    period n in k, so a row longer than n folds onto k mod n and stays exact.
+    W = sum_j (H^j)^H C H^j and V = sum_j j (H^j)^H C H^j, C = row^H row,
+    give p_out = W_00 and sum_m m |c_m|^2 = (W + V)_00.  Each step doubles
+    the number of terms N summed so far: W <- W + A^H W A,
+    V <- V + A^H (V + N W) A, A <- A^2 = H^(2N); it stops once
+    ||A||_F^2 < GRAMIAN_STOP.  The terms left out, j >= N, start from
+    x = A e_1: unitary vertices make the transmission Gramian at most I,
+    so the p_out remainder is at most ||x||^2, and the first-moment
+    remainder x^H ((N + 1) W_inf + V_inf) x is bounded through ||V|| and N.
     """
-    folded = np.zeros((len(polys), n), dtype=complex)
+    k = h.shape[0]
+    a = h
+    w = np.outer(row.conj(), row)
+    v = np.zeros((k, k), dtype=complex)
+    n = 1
+    squarings = 0
+    while (a_norm2 := float(np.linalg.norm(a) ** 2)) >= GRAMIAN_STOP:
+        if squarings == GRAMIAN_SQUARINGS:
+            raise TruncationError(
+                f"||H^{n}||_F^2 = {a_norm2:.3e} after {squarings} squarings; "
+                "the walk decays too slowly to sum"
+            )
+        ah = a.conj().T
+        v = v + ah @ (v + n * w) @ a
+        w = w + ah @ w @ a
+        a = a @ a
+        n *= 2
+        squarings += 1
+    p_out = float(w[0, 0].real) if k else 0.0
+    if p_out <= 0.0:
+        raise ValueError("no transmitted weight at steps m >= 1; the amplitude is constant")
+    h_time = float((w[0, 0] + v[0, 0]).real) / p_out
+    # V_inf = V + A^H (V_inf + N W_inf) A with ||W_inf|| <= 1.
+    v_inf = (float(np.linalg.norm(v)) + n * a_norm2) / (1.0 - a_norm2)
+    # p_out is off by at most |x|^2 and the first moment by |x|^2 (N + 1 + |V_inf|).
+    x2 = float(np.linalg.norm(a[:, 0]) ** 2)
+    err = x2 * (n + 1 + v_inf + h_time) / p_out
+    if not err < tolerance:
+        raise TruncationError(
+            f"after {squarings} squarings the hitting-time remainder is "
+            f"{err:.3e} (> {tolerance:.1e})"
+        )
+    if h_time < 1.0:
+        raise ArithmeticError(f"hitting time {h_time} < 1; the Gramians are inconsistent")
+    return WalkStats(p_of_m=np.zeros(0), p_out=p_out, hitting_time=h_time)
+
+
+def walk_stats_exact(graph: QuantumGraph, tolerance: float = 1e-8) -> WalkStats:
+    """p_out and conditional hitting time summed exactly from the bond map.
+
+    Works on the graph's reduced unit-bond map H (see solver._reduce),
+    where c_m = c H^(m-1) e_1 for m >= 1, and sums both series through
+    their Gramians (_gramian_stats) in log2 N matrix squarings instead of
+    N coefficients.  Needs integer edge lengths.  Raises TruncationError
+    when the rigorous remainder bound stays above ``tolerance`` or after
+    GRAMIAN_SQUARINGS squarings, and ValueError for a tolerance outside
+    (0, inf) or a graph with no transmitted weight at m >= 1.  P(m) is not
+    resolved, so p_of_m comes back empty.
+    """
+    if not (0 < tolerance < np.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    _, h, rows = _reduce(graph)
+    return _gramian_stats(h, rows[0], tolerance)
+
+
+def _on_rotated_nodes(polys, m: int, phase: float) -> np.ndarray:
+    """Values of each coefficient row at z_l = e^{i phase} e^{2 pi i l/m}, l < m.
+
+    z_l^k = e^{i phase k} e^{2 pi i lk/m}, so twisting coefficient k by
+    e^{i phase k} leaves a length-m inverse DFT.  The second factor has
+    period m in k, so a row longer than m folds onto k mod m and stays exact.
+    """
+    twist = np.exp(1j * phase * np.arange(max(len(c) for c in polys)))
+    folded = np.zeros((len(polys), m), dtype=complex)
     for row, c in zip(folded, polys):
-        twisted = c * np.exp(1j * np.pi * np.arange(len(c)) / n)
-        row += np.pad(twisted, (0, -len(c) % n)).reshape(-1, n).sum(axis=0)
+        twisted = c * twist[:len(c)]
+        for lo in range(0, len(c), m):
+            row[:len(c) - lo] += twisted[lo:lo + m]
     return np.fft.ifft(folded, norm="forward")
+
+
+def _circle_means(polys, n: int, shift: int) -> np.ndarray:
+    """Means of |T|^2 and Re[conj(T) z T'] over z_j = e^{i pi (2j + shift)/n}, j < n.
+
+    ``polys`` holds num, den, z num' and z den'.  The nodes are evaluated
+    in chunks of m = min(n, QUADRATURE_CHUNK): those with j = r (mod n/m)
+    are the m-th roots of unity rotated by e^{i pi (2r + shift)/n}.
+    """
+    m = min(n, QUADRATURE_CHUNK)
+    sums = np.zeros(2)
+    for r in range(n // m):
+        nv, dv, znv, zdv = _on_rotated_nodes(polys, m, np.pi * (2 * r + shift) / n)
+        t = nv / dv
+        # z T' = (z num' - T z den') / den
+        zdt = (znv - t * zdv) / dv
+        sums += np.vdot(t, t).real, np.vdot(t, zdt).real
+    return sums / n
 
 
 def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
@@ -277,7 +375,11 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     sum |c_m|^2 is the mean of |T|^2 and sum m |c_m|^2 the mean of
     Re[conj(T) z T'(z)].  Periodic trapezoid sums converge exponentially for
     these analytic integrands; the form must be in lowest terms, so no
-    removable 0/0 sits on the circle.  As on the series route, p_out counts
+    removable 0/0 sits on the circle.  The rule is nested: the n-node sum
+    on the n-th roots of unity, T_n, refines to T_2n = (T_n + M_n)/2, with
+    M_n the mean over the n midpoints e^{i pi (2j + 1)/n}, so each doubling
+    evaluates only new nodes.  n doubles from 512 until both means settle
+    to 1e-12 relative, up to 2^19.  As on the series route, p_out counts
     steps m >= 1: the zero-step weight |c_0|^2 is taken off the mean, and a
     form with nothing left raises ValueError.  P(m) is not resolved by this
     route, so p_of_m comes back empty.
@@ -286,27 +388,18 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     num, den = amp.num, amp.den
     polys = (num, den, np.arange(len(num)) * num, np.arange(len(den)) * den)
 
-    def integrands(n):
-        nv, dv, znv, zdv = _on_offset_nodes(polys, n)
-        t = nv / dv
-        zdt = (znv * dv - nv * zdv) / dv**2
-        return np.abs(t) ** 2, np.real(np.conj(t) * zdt)
-
-    prev = None
     n = 512
-    while n <= (1 << 19):
-        w2, s1 = integrands(n)
-        p_out = float(np.mean(w2))
-        moment = float(np.mean(s1))
-        if prev is not None:
-            d0 = abs(p_out - prev[0])
-            d1 = abs(moment - prev[1])
-            if d0 < 1e-12 * max(p_out, 1e-3) and d1 < 1e-12 * max(abs(moment), 1e-3):
-                break
-        prev = (p_out, moment)
+    rule = _circle_means(polys, n, 0)
+    while True:
+        if n >= QUADRATURE_MAX_NODES:
+            raise ArithmeticError("circle quadrature did not converge")
+        refined = 0.5 * (rule + _circle_means(polys, n, 1))
         n *= 2
-    else:
-        raise ArithmeticError("circle quadrature did not converge")
+        d0, d1 = np.abs(refined - rule)
+        p_out, moment = float(refined[0]), float(refined[1])
+        if d0 < 1e-12 * max(p_out, 1e-3) and d1 < 1e-12 * max(abs(moment), 1e-3):
+            break
+        rule = refined
 
     if not (0.0 < p_out <= 1.0 + 1e-9):
         raise ValueError(

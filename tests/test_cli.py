@@ -246,10 +246,10 @@ def test_usage_errors_exit_one(argv, tmp_path, capsys):
 
 
 def test_numerical_failures_exit_two(monkeypatch, capsys):
-    def explode(amp, tolerance):
+    def explode(graph, tolerance):
         raise qg.TruncationError("cannot certify")
 
-    monkeypatch.setattr("qgraph.cli.walk_stats_to_tolerance", explode)
+    monkeypatch.setattr("qgraph.cli.walk_stats_exact", explode)
     code = main(["hitting", "--graph", "c3"])
     captured = capsys.readouterr()
     assert code == 2
@@ -323,6 +323,39 @@ def test_hitting_on_chains_with_trapped_modes(source, capsys):
     values = {k: float(v) for k, v in (line.split(" = ") for line in out.splitlines())}
     assert abs(values["h"] - values["h_quadrature"]) < 1e-8
     assert abs(values["p_out"] - values["p_out_quadrature"]) < 1e-8
+
+
+@pytest.mark.parametrize("source", ["c31", "c5-c6"])
+def test_hitting_answers_where_the_series_is_too_slow(source, capsys):
+    # both need series orders past 32768; the Gramian route sums them exactly
+    code, out, err = run(capsys, "hitting", "--graph", source)
+    assert code == 0 and err == ""
+    values = {k: float(v) for k, v in (line.split(" = ") for line in out.splitlines())}
+    assert abs(values["h"] - values["h_quadrature"]) < 1e-8
+    assert abs(values["p_out"] - values["p_out_quadrature"]) < 1e-8
+
+
+def test_hitting_refuses_without_a_check_route(capsys):
+    # the exact route answers c64, but no quadrature converges to check it
+    code, out, err = run(capsys, "hitting", "--graph", "c64")
+    assert code == 2 and out == ""
+    assert err == "qgraph: numerical failure: circle quadrature did not converge\n"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    import qgraph.cli as cli_mod
+
+    built = []
+    real = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real())
+    cli_mod._parser.cache_clear()
+    try:
+        _, first, _ = run(capsys, "hitting", "--graph", "c3")
+        _, second, _ = run(capsys, "hitting", "--graph", "c3")
+    finally:
+        cli_mod._parser.cache_clear()
+    assert built == [1]
+    assert first == second and first.startswith("h = ")
 
 
 def test_thread_env_does_not_change_output(monkeypatch, capsys):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import qgraph as qg
-from qgraph.walks import _geometric_tail, _on_offset_nodes, _pole_radius, taylor_coefficients
+from qgraph.solver import _reduce
+from qgraph.walks import (
+    _geometric_tail,
+    _gramian_stats,
+    _on_rotated_nodes,
+    _pole_radius,
+    taylor_coefficients,
+)
 
 
 def _series(graph, order):
@@ -290,7 +297,126 @@ def test_quadrature_folds_forms_longer_than_its_nodes(shift):
     # a wrong fold would only cost the quadrature one more doubling, so the
     # 512 node values are checked against Horner's rule, itself off by
     # about degree * eps
-    z = np.exp(1j * np.pi * (2 * np.arange(512) + 1) / 512)
-    values = _on_offset_nodes((amp.num, amp.den), 512)
-    assert np.max(np.abs(values[0] - np.polynomial.polynomial.polyval(z, amp.num))) < 1e-10
-    assert np.max(np.abs(values[1] - np.polynomial.polynomial.polyval(z, amp.den))) < 1e-10
+    for phase in (np.pi / 512, 0.3):
+        z = np.exp(1j * (phase + 2.0 * np.pi * np.arange(512) / 512))
+        values = _on_rotated_nodes((amp.num, amp.den), 512, phase)
+        assert np.max(np.abs(values[0] - np.polynomial.polynomial.polyval(z, amp.num))) < 1e-10
+        assert np.max(np.abs(values[1] - np.polynomial.polynomial.polyval(z, amp.den))) < 1e-10
+
+
+def test_quadrature_memory_stays_bounded():
+    # c31 needs 2^19 nodes; evaluated in chunks of 2^14 they stay small
+    import tracemalloc
+
+    amp = qg.extract_rational_amplitude(qg.make_cycle_graph(31))
+    tracemalloc.start()
+    try:
+        qg.walk_stats_by_quadrature(amp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("source", ["c3", "c31"])
+def test_nested_quadrature_equals_one_shot_rule(source, monkeypatch):
+    # the nested, chunked sums at the final n are the n-node trapezoid rule
+    # on the n-th roots of unity, evaluated at once
+    import qgraph.walks as walks_mod
+
+    amp = qg.extract_rational_amplitude(qg.make_cycle_graph(int(source[1:])))
+    calls = []
+    real = walks_mod._circle_means
+    monkeypatch.setattr(walks_mod, "_circle_means",
+                        lambda polys, n, shift: calls.append((n, shift)) or real(polys, n, shift))
+    stats = qg.walk_stats_by_quadrature(amp)
+    n = 2 * calls[-1][0]
+    assert calls == [(512, 0)] + [(512 << j, 1) for j in range(len(calls) - 1)]
+    num, den = amp.num, amp.den
+    nv, dv, znv, zdv = _on_rotated_nodes(
+        (num, den, np.arange(len(num)) * num, np.arange(len(den)) * den), n, 0.0
+    )
+    t = nv / dv
+    zdt = (znv * dv - nv * zdv) / dv**2
+    p_out = float(np.mean(np.abs(t) ** 2)) - abs(num[0] / den[0]) ** 2
+    moment = float(np.mean(np.real(np.conj(t) * zdt)))
+    assert abs(stats.p_out - p_out) < 1e-13
+    assert abs(stats.hitting_time * stats.p_out - moment) < 1e-13
+    if source == "c31":
+        assert n == 1 << 19
+
+
+@pytest.mark.parametrize(
+    "n, exact_h",
+    [(64, 52.37140053361426), (80, 65.76025491567879), (99, 82.2515279914363)],
+)
+def test_exact_route_answers_slow_rings(n, exact_h):
+    stats = qg.walk_stats_exact(qg.make_cycle_graph(n))
+    assert abs(stats.hitting_time - exact_h) < 1e-9
+    assert abs(stats.p_out - 0.42229123600) < 1e-12
+    assert stats.p_of_m.size == 0
+
+
+@pytest.mark.parametrize("source", ["c3", "c4", "c3-c4-c3", "c3+c4+c3", "shared-c3"])
+def test_exact_route_agrees_with_series(source):
+    if source == "shared-c3":
+        bare = qg.strip_leads(qg.make_cycle_graph(3))
+        graph = qg.attach_lead(qg.attach_lead(bare, 1), 1)
+    else:
+        graph = qg.compose_series(qg.parse_series_shorthand(source))
+    exact = qg.walk_stats_exact(graph)
+    series = qg.walk_stats_to_tolerance(qg.extract_rational_amplitude(graph))
+    assert abs(exact.hitting_time - series.hitting_time) < 1e-9
+    assert abs(exact.p_out - series.p_out) < 1e-12
+
+
+@pytest.mark.parametrize("source", ["c5-c3-c3-c5", "c60", "c99"])
+def test_exact_route_conserves_flux(source):
+    # transmitted and reflected walks, direct terms included, carry all the flux
+    graph = qg.compose_series(qg.parse_series_shorthand(source)) if "-" in source \
+        else qg.make_cycle_graph(int(source[1:]))
+    system, h, rows = _reduce(graph)
+    p_t = _gramian_stats(h, rows[0], 1e-8).p_out
+    p_r = _gramian_stats(h, rows[1], 1e-8).p_out
+    total = p_t + p_r + abs(system.direct_t) ** 2 + abs(system.direct_r) ** 2
+    assert abs(total - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("source", ["c3", "c5-c6"])
+def test_exact_route_remainder_bound_holds(source, monkeypatch):
+    # stopping the squarings early leaves a remainder; whatever the bound
+    # lets through must be within the tolerance of the full sums
+    import qgraph.walks as walks_mod
+
+    graph = qg.compose_series(qg.parse_series_shorthand(source))
+    exact = qg.walk_stats_exact(graph)
+    answered = 0
+    for stop in (1e-2, 1e-3, 1e-6):
+        monkeypatch.setattr(walks_mod, "GRAMIAN_STOP", stop)
+        for tolerance in (1e-1, 1e-3, 1e-6):
+            try:
+                stats = qg.walk_stats_exact(graph, tolerance)
+            except qg.TruncationError:
+                continue
+            answered += abs(stats.hitting_time - exact.hitting_time) > 1e-12
+            assert abs(stats.hitting_time - exact.hitting_time) <= tolerance
+            assert abs(stats.p_out - exact.p_out) <= tolerance
+    assert answered
+
+
+def test_exact_route_refusals():
+    c3 = qg.make_cycle_graph(3)
+    for tolerance in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            qg.walk_stats_exact(c3, tolerance)
+    # remainder bound above the tolerance
+    with pytest.raises(qg.TruncationError, match="remainder"):
+        qg.walk_stats_exact(c3, 1e-300)
+    # a mode on the unit circle never decays
+    with pytest.raises(qg.TruncationError, match="after 64 squarings"):
+        _gramian_stats(np.array([[1.0 + 0.0j]]), np.array([0.5 + 0.0j]), 1e-8)
+    edgeless = qg.QuantumGraph(vertex_ids=(1,), boundary=(qg.NK,), edges=(), leads=(1, 1))
+    with pytest.raises(ValueError, match="no transmitted weight"):
+        qg.walk_stats_exact(edgeless)
+    with pytest.raises(ValueError, match="non-integral length"):
+        qg.walk_stats_exact(qg.scale_lengths(c3, 1.5))
