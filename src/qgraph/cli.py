@@ -5,8 +5,8 @@ cycle (c3 .. c99), a composition shorthand (c3+c3 joins cycles by merging
 vertices, c3-c4-c3 joins them through unit bridging edges), or a path to a
 JSON graph file.  Exit status is 0 on success, 1 on usage errors (unknown
 preset, malformed file, bad ranges), and 2 on numerical failures
-(unresolved singularities, truncation that cannot certify, poles, LAPACK)
-and when memory runs out.
+(unresolved singularities, truncation that cannot certify, poles, LAPACK,
+hitting-time routes that disagree) and when memory runs out.
 
 Numbers are printed with 17 significant digits and files are written
 atomically, so identical invocations produce bit-identical output.
@@ -126,6 +126,15 @@ def cmd_hitting(args) -> str:
     graph = _graph_of(args)
     stats = walk_stats_exact(graph, tolerance=args.tolerance)
     quad = walk_stats_by_quadrature(extract_rational_amplitude(graph))
+    # The quadrature is the check: routes that disagree print nothing.
+    limit = max(args.tolerance, 1e-8)
+    for name, exact, check in (("h", stats.hitting_time, quad.hitting_time),
+                               ("p_out", stats.p_out, quad.p_out)):
+        if not abs(exact - check) <= limit:
+            raise ArithmeticError(
+                f"{name} = {exact!r} and {name}_quadrature = {check!r} differ by "
+                f"more than {limit:.1e}"
+            )
     return (
         f"h = {_fmt(stats.hitting_time)}\n"
         f"p_out = {_fmt(stats.p_out)}\n"

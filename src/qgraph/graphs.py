@@ -16,6 +16,7 @@ internal edge ends plus attached leads.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from collections import Counter
@@ -437,7 +438,7 @@ def integral_lengths(graph: QuantumGraph, tol: float = 1e-9):
     """
     out = []
     for i, e in enumerate(graph.edges):
-        q = round(e.length) if np.isfinite(e.length) else 0
+        q = round(e.length) if math.isfinite(e.length) else 0
         if q < 1 or abs(e.length - q) > tol:
             raise ValueError(
                 f"edge {i} has non-integral length {e.length!r}; "
@@ -462,13 +463,16 @@ def subdivide_integral(graph: QuantumGraph) -> QuantumGraph:
     problem is exactly unchanged; the rewrite just makes every traversal a
     single unit step, which the walk power iteration relies on.  Raises
     MemoryError up front if the result's dense bond matrix (16 k^2 bytes,
-    k = 2 * total length) would not fit in physical memory.
+    k = 2 * total length) would not fit in physical memory.  A graph whose
+    lengths are all exactly 1.0 is returned as it is.
     """
     lengths = integral_lengths(graph)
     bonds = 2.0 * sum(e.length for e in graph.edges)
     if 16.0 * bonds * bonds > _physical_memory():
         raise MemoryError(f"subdividing into {bonds:.3g} unit bonds needs a dense "
                           f"{bonds:.3g}^2 bond matrix, more than physical memory")
+    if all(e.length == 1.0 for e in graph.edges):
+        return graph
     next_id = max(graph.vertex_ids) + 1
     ids = list(graph.vertex_ids)
     bcs = list(graph.boundary)

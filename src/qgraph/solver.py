@@ -102,6 +102,16 @@ def assemble_bond_system(graph: QuantumGraph) -> BondSystem:
 
 @lru_cache(maxsize=128)
 def _assemble_cached(graph: QuantumGraph) -> BondSystem:
+    """Validate, then lay the vertex matrices out on the directed bonds.
+
+    Ports at a vertex are its incident edge ends in (edge index, end) order,
+    then its leads in channel order; this fixes every matrix row and column.
+    Bond 2e+d departs from end d of edge e and arrives at end 1-d, so port
+    (e, d) emits bond 2e+d and absorbs bond 2e+1-d.  Vertices that share a
+    matrix and a bond-port count (every lead-free NK vertex of degree d
+    shares nk_vertex_matrix(d)) are written by one scatter into smatrix;
+    the lead rows and columns then come from the two lead vertices.
+    """
     # Graphs are immutable and hash by identity, so each is validated once;
     # an invalid one raises on every call, since exceptions are not cached.
     report = validate_graph(graph)
@@ -110,35 +120,43 @@ def _assemble_cached(graph: QuantumGraph) -> BondSystem:
     if len(graph.leads) != 2:
         raise ValueError(f"scattering needs exactly 2 leads, got {len(graph.leads)}")
 
-    # Ports at a vertex: incident edge ends in (edge index, end) order, then
-    # leads in channel order.  This fixes every matrix row/column.  Bond
-    # 2e+d departs from end d of edge e and arrives at end 1-d, so port
-    # (e, d) emits bond 2e+d and absorbs bond 2e+1-d.
     emits = {vid: [] for vid in graph.vertex_ids}
     for ei, e in enumerate(graph.edges):
         emits[e.u].append(2 * ei)
         emits[e.v].append(2 * ei + 1)
 
+    # (NK degree or custom matrix, bond ports) -> (matrix, emitted bonds per vertex)
+    classes = {}
+    for vid, bc in zip(graph.vertex_ids, graph.boundary):
+        emitted = emits[vid]
+        key = (graph.degree(vid) if isinstance(bc, str) else id(bc), len(emitted))
+        if key not in classes:
+            classes[key] = (graph.vertex_matrix(vid), [])
+        classes[key][1].append(emitted)
+
     nbonds = 2 * len(graph.edges)
     smatrix = np.zeros((nbonds, nbonds), dtype=complex)
+    for (_, k), (m, emitted) in classes.items():
+        if k:
+            rows = np.array(emitted)
+            smatrix[rows[:, :, None], rows[:, None, :] ^ 1] = m[:k, :k]
+
+    # A lead's column feeds the bonds leaving its vertex; its row reads out
+    # the bonds arriving there.
     inj = np.zeros(nbonds, dtype=complex)
     out_t = np.zeros(nbonds, dtype=complex)
     out_r = np.zeros(nbonds, dtype=complex)
     v_in, v_out = graph.leads
-    for vid, emitted in emits.items():
-        m = graph.vertex_matrix(vid)
-        absorbed = [b ^ 1 for b in emitted]
-        k = len(emitted)
-        smatrix[np.ix_(emitted, absorbed)] = m[:k, :k]
-        # A lead's column feeds the bonds leaving its vertex; its row reads
-        # out the bonds arriving there.
-        if vid == v_in:
-            inj[emitted] = m[:k, k]
-            out_r[absorbed] = m[k, :k]
-            direct_r = complex(m[k, k])
-            direct_t = complex(m[k + 1, k]) if v_out == v_in else 0.0
-        if vid == v_out:
-            out_t[absorbed] = m[k + (v_out == v_in), :k]
+    shared = v_in == v_out
+    m, emitted = graph.vertex_matrix(v_in), np.array(emits[v_in], dtype=int)
+    k = len(emitted)
+    inj[emitted] = m[:k, k]
+    out_r[emitted ^ 1] = m[k, :k]
+    direct_r = complex(m[k, k])
+    direct_t = complex(m[k + 1, k]) if shared else 0.0
+    m, emitted = graph.vertex_matrix(v_out), np.array(emits[v_out], dtype=int)
+    k = len(emitted)
+    out_t[emitted ^ 1] = m[k + shared, :k]
 
     lengths = np.repeat([e.length for e in graph.edges], 2).astype(float)
     bond_ends = tuple(
@@ -402,8 +420,9 @@ def _hessenberg_samples(h: np.ndarray, rows: np.ndarray, z: np.ndarray):
 
 def _sample_count(order: int) -> int:
     """FFT samples the extractor takes for a reduced system of this order."""
-    # The smallest power of two >= 8 (order + 2), exact for any integer order.
-    return 1 << max(3, (8 * (order + 2) - 1).bit_length())
+    # (direct + z readout) det has degree <= order, so 2 (order + 2) samples
+    # leave room; the smallest power of two >= that, and at least 8.
+    return 1 << max(3, (2 * (order + 2) - 1).bit_length())
 
 
 @lru_cache(maxsize=128)
@@ -485,23 +504,36 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
 
 # ---------------------------------------------------------------------------
 # Sweep routing.  On an integer-length graph a sweep can evaluate the
-# lowest-terms forms by Horner's rule instead of factoring the nb x nb bond
-# matrix at every point.  Extraction factors two matrices of order at most
-# k = 2 * (total length), the bond count after subdivision, per FFT sample,
-# so the rational route is taken once the grid's dense work is at least
-# that large; short sweeps and long-edge graphs stay on the solver.
+# lowest-terms forms by Horner's rule instead of solving the nb x nb bond
+# system at every point.  The rational route is taken once the grid's dense
+# solves would cost more than the extraction, at order k = 2 * (total
+# length), the bond count after subdivision; short sweeps and long-edge
+# graphs stay on the solver.  The costs, in microseconds, were fitted within
+# a factor 3 for nb, k from 6 to 600 on a 2-core x86-64 machine (numpy 2.4,
+# single-threaded OpenBLAS, solve_many's batches spread over both cores): a
+# dense solve takes 1.3 + 0.025 nb^2 + 5.6e-6 nb^3 per point, and an
+# extraction 430 + 88 k + 6.5e-3 (k^3 + n_fft k^2), for the reduction's
+# O(k^3) and the Hessenberg samples' O(n_fft k^2).
 # ---------------------------------------------------------------------------
+
+
+def _rational_pays(points: int, nb: int, k: int) -> bool:
+    """Whether extracting order-k forms costs less than points dense nb x nb solves."""
+    # Past k = 10^100 extraction never pays; the clamp keeps k^3 a finite float.
+    k = min(k, 10**100)
+    solve_us = 1.3 + 0.025 * nb**2 + 5.6e-6 * nb**3
+    extract_us = 430.0 + 88.0 * k + 6.5e-3 * (k**3 + _sample_count(k) * k**2)
+    return points * solve_us >= extract_us
 
 
 def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
     """Repaired (t, r) on a real grid, by the rational forms or by the dense solver."""
     system = assemble_bond_system(graph)
-    nb = system.bond_count
     # Exact integers only: the forms subdivide rounded lengths, which would
     # shift the phases of a length that is integral only to a tolerance.
     if all(float(e.length).is_integer() for e in graph.edges):
         k = 2 * sum(int(e.length) for e in graph.edges)
-        if len(grid) * nb**3 >= 2 * _sample_count(k) * k**3:
+        if _rational_pays(len(grid), system.bond_count, k):
             _check_phase(grid, system.lengths)
             t_amp, r_amp = _extract_channels(graph)
             z = np.exp(1j * grid)

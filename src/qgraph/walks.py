@@ -7,12 +7,12 @@ in exactly m steps, p_out = sum P(m) the total exit probability through the
 exit lead, and h = sum m P(m) / p_out the conditional hitting time.
 
 Coefficients come from two independent routes that cross-check each other:
-a linear recurrence on the rational amplitude, and direct power iteration of
-the bond map.  Both return coefficients only.  The statistics come from
-three routes: walk_stats_exact sums the series exactly through the reduced
-bond map's Gramians, walk_stats_to_tolerance truncates the series under one
-geometric tail rule set by the smallest pole radius, and
-walk_stats_by_quadrature integrates on the unit circle.
+a linear recurrence on the rational amplitude, one coefficient per step,
+and direct power iteration of the bond map.  Both return coefficients only.
+The statistics come from three routes: walk_stats_exact sums the series
+exactly through the reduced bond map's Gramians, walk_stats_to_tolerance
+truncates the series under one geometric tail rule set by the smallest pole
+radius, and walk_stats_by_quadrature integrates on the unit circle.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ GRAMIAN_SQUARINGS = 64
 # QUADRATURE_MAX_NODES, and evaluates at most QUADRATURE_CHUNK nodes per FFT.
 QUADRATURE_MAX_NODES = 1 << 19
 QUADRATURE_CHUNK = 1 << 14
-
-# Coefficients the series recurrence advances per matrix product once its
-# stretch is homogeneous.
-_BLOCK = 64
 
 
 class TruncationError(ArithmeticError):
@@ -95,47 +91,20 @@ def _recurrence(num: np.ndarray, den: np.ndarray, order: int, head=()) -> np.nda
     """Taylor coefficients of num/den via c_m = (num_m - sum den_j c_{m-j})/den_0.
 
     An earlier expansion ``head`` is extended: its coefficients are copied.
-    A long enough homogeneous stretch (m >= len(num) and m >= deg den)
-    advances _BLOCK coefficients per matrix product (see _block_matrix);
-    the rest runs the scalar loop.
-    """
-    c = np.zeros(order + 1, dtype=complex)
-    c[:len(head)] = head
-    d0 = den[0]
-    degree = len(den) - 1
-    block_start = max(len(head), len(num), degree)
-    # Building the block matrix costs at most about as much as
-    # 4 max(_BLOCK, deg den) scalar steps; a shorter stretch would not repay it.
-    blocked = degree > 0 and order + 1 - block_start >= 4 * max(_BLOCK, degree)
-    for m in range(len(head), block_start if blocked else order + 1):
-        acc = num[m] if m < len(num) else 0.0
-        jmax = min(m, degree)
-        if jmax:
-            acc -= np.dot(den[1:jmax + 1], c[m - 1::-1][:jmax])
-        c[m] = acc / d0
-    if blocked:
-        step = _block_matrix(den)
-        for m in range(block_start, order + 1, _BLOCK):
-            c[m:m + _BLOCK] = (step @ c[m - degree:m])[:order + 1 - m]
-    return c
-
-
-def _block_matrix(den: np.ndarray) -> np.ndarray:
-    """A = -L^{-1} U, the (_BLOCK x deg den) map c[m - deg den:m] -> c[m:m + _BLOCK].
-
-    Valid where the recurrence is homogeneous.  L is the lower-triangular
-    Toeplitz matrix of den (the terms of c[m:m + _BLOCK] themselves) and U
-    holds the den terms that reach back before m.  Row i writes c_{m+i} in
-    the previous deg den coefficients.  The rows are built by doubling: with
-    the first b rows known, rows b..2b-1 are the same rows applied to the
-    state b steps on, which those rows (and the identity) give.
+    The coefficients are stored reversed behind deg den zeros, rc[order - m]
+    = c_m, so that c_{m-1}, ..., c_{m-deg den} (zero before c_0) are the one
+    forward slice that each step dots with den_1, ..., den_{deg den}.
     """
     degree = len(den) - 1
-    rows = -(den[:0:-1] / den[0])[None, :]
-    while len(rows) < _BLOCK:
-        state = np.vstack([np.eye(degree), rows])[len(rows):len(rows) + degree]
-        rows = np.vstack([rows, rows @ state])
-    return rows[:_BLOCK]
+    d0, tail = den[0], den[1:]
+    nums = np.asarray(num).tolist()
+    rc = np.zeros(order + 1 + degree, dtype=complex)
+    rc[order + 1 - len(head):order + 1] = head[::-1]
+    for m in range(len(head), order + 1):
+        s = order - m
+        acc = nums[m] if m < len(nums) else 0.0
+        rc[s] = (acc - np.dot(tail, rc[s + 1:s + 1 + degree])) / d0
+    return rc[order::-1].copy()
 
 
 def _geometric_tail(coeffs: np.ndarray, rho, state: int) -> float:

@@ -75,17 +75,34 @@ def test_rational_route_sweep_matches_solver(text, monkeypatch):
 @pytest.mark.parametrize(
     "text, scale, samples",
     [("c3-c4", 1.3, 5000), ("c3-c4", 1.0 + 1e-10, 5000),
-     ("c3-c4", 1.0, 500), ("c3-c3", 1.0, 200)],
+     ("c3-c4", 1.0, 255), ("c3-c3", 1.0, 276)],
 )
 def test_solver_route_sweep_is_exactly_solve_many(text, scale, samples):
     # non-integer lengths (even within integral_lengths' rounding tolerance),
-    # and integer sweeps too short to pay for an extraction, keep the dense
-    # solver's arrays bit for bit
+    # and integer sweeps one point too short to pay for an extraction, keep
+    # the dense solver's arrays bit for bit
     graph = qg.scale_lengths(qg.compose_series(qg.parse_series_shorthand(text)), scale)
     sweep = qg.sweep_transmission(graph, 0.1, 6.2, samples)
     t, r = qg.solve_many(graph, sweep.kl)
     assert np.array_equal(sweep.t, t)
     assert np.array_equal(sweep.r, r)
+
+
+@pytest.mark.parametrize("text, samples", [("c3-c4", 256), ("c36", 1500)])
+def test_rational_route_starts_at_the_extraction_cost(text, samples, monkeypatch):
+    # the shortest c3-c4 grid that pays for an extraction, and a c36 sweep
+    # whose dense solves cost several times the extraction, take the forms
+    graph = qg.compose_series(qg.parse_series_shorthand(text))
+    grid = np.linspace(0.1, 6.2, samples)
+    t_ref, r_ref = qg.solve_many(graph, grid)
+
+    def no_solver(*args):
+        raise AssertionError("a rational-route sweep called the dense solver")
+
+    monkeypatch.setattr("qgraph.solver.solve_many", no_solver)
+    sweep = qg.sweep_transmission(graph, 0.1, 6.2, samples)
+    assert np.max(np.abs(sweep.t - t_ref)) < 1e-10
+    assert np.max(np.abs(sweep.r - r_ref)) < 1e-10
 
 
 @pytest.mark.parametrize("text", ["c3-c3", "c4-c4", "c3-c4-c3"])
@@ -207,11 +224,12 @@ def _poison_near(monkeypatch, center, width):
     monkeypatch.setattr(solver_mod, "_solve_bonds", poisoned)
 
 
-@pytest.mark.parametrize("samples", [11, 201])
+@pytest.mark.parametrize("samples", [11, 439])
 def test_a_singular_limit_propagates_from_a_sweep(samples, monkeypatch):
-    # 11 points take the solver route, 201 the rational route.  Doubling the
-    # transmission numerator makes every rational value fail the unitarity
-    # test, so each point must go to the solver.
+    # 11 points take the solver route, 439 the rational route (438 are the
+    # fewest that pay for the extraction; an odd count keeps kl = 1.5 on the
+    # grid).  Doubling the transmission numerator makes every rational value
+    # fail the unitarity test, so each point must go to the solver.
     import qgraph.solver as solver_mod
 
     graph = qg.make_cycle_graph(3)
@@ -225,7 +243,7 @@ def test_a_singular_limit_propagates_from_a_sweep(samples, monkeypatch):
     monkeypatch.setattr(solver_mod, "_extract_channels", doubled)
     t, r = qg.solve_many(graph, np.linspace(1.0, 2.0, samples))
     sweep = qg.sweep_transmission(graph, 1.0, 2.0, samples)
-    assert bool(used) == (samples == 201)
+    assert bool(used) == (samples == 439)
     assert np.array_equal(sweep.t, t) and np.array_equal(sweep.r, r)
 
     _poison_near(monkeypatch, 1.5, 1e-8)  # kl = 1.5 and 1.5 +- 1e-9

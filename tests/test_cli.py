@@ -342,6 +342,35 @@ def test_hitting_refuses_without_a_check_route(capsys):
     assert err == "qgraph: numerical failure: circle quadrature did not converge\n"
 
 
+@pytest.mark.parametrize("field, tolerance", [("hitting_time", None), ("p_out", "1e-3")])
+def test_hitting_refuses_routes_that_disagree(field, tolerance, monkeypatch, capsys):
+    # a planted quadrature value past max(tolerance, 1e-8) prints nothing
+    import dataclasses
+
+    import qgraph.cli as cli_mod
+
+    real = cli_mod.walk_stats_by_quadrature
+    shift = 2e-8 if tolerance is None else 2e-3
+
+    def planted(offset):
+        def quadrature(amp):
+            stats = real(amp)
+            return dataclasses.replace(stats, **{field: getattr(stats, field) + offset})
+        return quadrature
+
+    argv = ["hitting", "--graph", "c3"] + ([] if tolerance is None else ["--tolerance", tolerance])
+    monkeypatch.setattr(cli_mod, "walk_stats_by_quadrature", planted(shift))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    name = "h" if field == "hitting_time" else "p_out"
+    assert err.startswith(f"qgraph: numerical failure: {name} = ")
+    assert err.count("\n") == 1
+    # a quarter of the offset stays within the limit and prints
+    monkeypatch.setattr(cli_mod, "walk_stats_by_quadrature", planted(shift / 4))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("h = ")
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     import qgraph.cli as cli_mod
 

@@ -258,6 +258,18 @@ def test_integral_lengths():
         qg.integral_lengths(qg.scale_lengths(graph, 0.75))
 
 
+def test_subdivide_integral_keeps_exact_unit_graphs():
+    # nothing to split: the same object, so assembly and reduction caches
+    # are shared; a length within rounding of 1 still gets a new unit graph
+    unit = qg.make_cycle_graph(5)
+    assert qg.subdivide_integral(unit) is unit
+    near = qg.scale_lengths(unit, 1.0 + 1e-10)
+    fine = qg.subdivide_integral(near)
+    assert fine is not near
+    assert all(e.length == 1.0 for e in fine.edges)
+    assert fine.vertex_ids == near.vertex_ids and fine.leads == near.leads
+
+
 def test_subdivide_integral_matches_original_amplitudes():
     graph = qg.scale_lengths(qg.make_cycle_graph(4), 2.0)
     fine = qg.subdivide_integral(graph)

@@ -12,6 +12,9 @@ certify within its cap; a route then refuses with a numerical failure
 rather than disagree.  The exact route, which sums the bond map's
 Gramians, answers every chain, and every other route that answers agrees
 with it.
+
+Random small graphs also check the bond-system layout against a reference
+that places each vertex's matrix one entry at a time.
 """
 
 import numpy as np
@@ -59,3 +62,82 @@ def test_extracted_form_matches_solver_and_both_walk_routes_agree(spec, seed):
         for b in answers:
             assert abs(a.hitting_time - b.hitting_time) < 1e-8
             assert abs(a.p_out - b.p_out) < 1e-8
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected graphs of 1-5 vertices with self-loops, multi-edges, both
+    leads possibly on one vertex, NK vertices of any degree (1 included)
+    and custom non-symmetric unitary vertices, some sharing one matrix."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.permutations(range(1, 10)))[:n]
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges = []
+    for a, b in pairs:
+        if draw(st.booleans()):
+            a, b = b, a
+        edges.append(qg.Edge(ids[a], ids[b], draw(st.sampled_from([1.0, 2.0, 0.5, 1.25]))))
+    leads = (draw(st.sampled_from(ids)), draw(st.sampled_from(ids)))
+    degree = {v: 0 for v in ids}
+    for v in [x for e in edges for x in (e.u, e.v)] + list(leads):
+        degree[v] += 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = {}
+    boundary = []
+    for v in ids:
+        if draw(st.booleans()):
+            boundary.append(qg.NK)
+            continue
+        d = degree[v]
+        if d not in shared or not draw(st.booleans()):
+            q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            shared[d] = q * (np.diag(r) / np.abs(np.diag(r)))
+        boundary.append(shared[d])
+    return qg.QuantumGraph(vertex_ids=ids, boundary=tuple(boundary),
+                           edges=tuple(edges), leads=leads)
+
+
+def _reference_layout(graph):
+    # one vertex, one entry at a time: ports are edge ends in (edge, end)
+    # order, then leads in channel order; port (e, d) emits bond 2e+d and
+    # absorbs bond 2e+1-d
+    nb = 2 * graph.num_edges
+    smatrix = np.zeros((nb, nb), dtype=complex)
+    inj, out_t, out_r = (np.zeros(nb, dtype=complex) for _ in range(3))
+    v_in, v_out = graph.leads
+    for v in graph.vertex_ids:
+        m = graph.vertex_matrix(v)
+        ports = [2 * i + d for i, e in enumerate(graph.edges) for d in (0, 1)
+                 if (e.u, e.v)[d] == v]
+        k = len(ports)
+        for i, emitted in enumerate(ports):
+            for j, arriving in enumerate(ports):
+                smatrix[emitted, arriving ^ 1] = m[i, j]
+        lead_ports = [k + c for c in range(sum(lv == v for lv in graph.leads))]
+        if v == v_in:
+            p_in = lead_ports[0]
+            for i, b in enumerate(ports):
+                inj[b] = m[i, p_in]
+                out_r[b ^ 1] = m[p_in, i]
+            direct_r = m[p_in, p_in]
+            direct_t = m[lead_ports[1], p_in] if v_out == v_in else 0.0
+        if v == v_out:
+            p_out = lead_ports[-1]
+            for i, b in enumerate(ports):
+                out_t[b ^ 1] = m[p_out, i]
+    return smatrix, inj, out_t, out_r, direct_t, direct_r
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graph=small_graphs())
+def test_assembly_matches_a_per_vertex_reference(graph):
+    assert qg.validate_graph(graph).ok
+    system = qg.assemble_bond_system(graph)
+    smatrix, inj, out_t, out_r, direct_t, direct_r = _reference_layout(graph)
+    assert np.array_equal(system.smatrix, smatrix)
+    assert np.array_equal(system.inj, inj)
+    assert np.array_equal(system.out_t, out_t)
+    assert np.array_equal(system.out_r, out_r)
+    assert system.direct_t == direct_t and system.direct_r == direct_r
+    assert np.array_equal(system.lengths, np.repeat([e.length for e in graph.edges], 2))

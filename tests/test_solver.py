@@ -310,8 +310,8 @@ def test_extracted_forms_match_the_closed_cycle_forms(n):
 
 
 def test_extraction_memory_grows_with_samples_times_order():
-    # c60 reduces to order 118 and takes 1024 samples: an (n_fft, k, k)
-    # batch would hold 228 MB, the Hessenberg sweep an (n_fft, k) array
+    # c60 reduces to order 118 and takes 256 samples: an (n_fft, k, k)
+    # batch would hold 57 MB, the Hessenberg sweep an (n_fft, k) array
     import tracemalloc
 
     graph = qg.make_cycle_graph(60)

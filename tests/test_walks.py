@@ -254,12 +254,14 @@ def _stable_form(rng, degree, num_len):
         (17, 12, 1500, None),
         (4, 300, 1200, None),  # numerator longer than the denominator
         (0, 50, 600, None),  # constant denominator
-        (6, 6, 1000, 300),  # extends a head; 700 new coefficients end mid-block
+        (6, 6, 1000, 300),  # extends a head by 700 coefficients
         (6, 6, 1001, 1000),  # extends by one coefficient
-        (6, 6, 40, None),  # shorter than one block
+        (6, 6, 40, None),  # a short expansion
     ],
 )
-def test_block_recurrence_matches_the_scalar_loop(degree, num_len, order, head_order, monkeypatch):
+def test_block_recurrence_matches_the_scalar_loop(degree, num_len, order, head_order):
+    # _recurrence, with and without a head to extend, against the reference
+    # that sums one term at a time
     import qgraph.walks as walks_mod
 
     rng = np.random.default_rng(degree * 1000 + num_len + order)
@@ -267,15 +269,11 @@ def test_block_recurrence_matches_the_scalar_loop(degree, num_len, order, head_o
     if degree == 0:
         den = np.array([2.0 + 1.0j])
     head = () if head_order is None else walks_mod._recurrence(num, den, head_order)
-    blocks = []
-    real = walks_mod._block_matrix
-    monkeypatch.setattr(walks_mod, "_block_matrix", lambda d: blocks.append(d) or real(d))
     c = walks_mod._recurrence(num, den, order, head)
     ref = _scalar_recurrence(num, den, order)
     assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # the long homogeneous stretches above do take the block path
-    stretch = order + 1 - max(num_len, degree, len(head))
-    assert bool(blocks) == (degree > 0 and stretch >= 4 * walks_mod._BLOCK)
+    if head_order is not None:
+        assert np.array_equal(c[:head_order + 1], head)
 
 
 @pytest.mark.parametrize("shift", [0, 600])
@@ -368,6 +366,21 @@ def test_exact_route_agrees_with_series(source):
     series = qg.walk_stats_to_tolerance(qg.extract_rational_amplitude(graph))
     assert abs(exact.hitting_time - series.hitting_time) < 1e-9
     assert abs(exact.p_out - series.p_out) < 1e-12
+
+
+@pytest.mark.parametrize("source", [
+    "c3-c6-c3-c3", "c3-c3-c3-c3", "c4-c4-c4-c4", "c3-c3-c6-c3", "c6-c3-c3-c3",
+    "c3-c6-c6-c6", "c6-c6-c6-c6", "c4+c5+c4+c5", "c3-c3-c6-c6",
+])
+def test_series_route_agrees_with_exact_route_near_the_circle(source):
+    # poles within about 1e-3 of the unit circle need series orders of
+    # 8192-32768, where the recurrence's rounding must stay below the
+    # tolerance
+    graph = qg.compose_series(qg.parse_series_shorthand(source))
+    series = qg.walk_stats_to_tolerance(qg.extract_rational_amplitude(graph))
+    exact = qg.walk_stats_exact(graph)
+    assert abs(series.hitting_time - exact.hitting_time) < 1e-8
+    assert abs(series.p_out - exact.p_out) < 1e-8
 
 
 @pytest.mark.parametrize("source", ["c5-c3-c3-c5", "c60", "c99"])
