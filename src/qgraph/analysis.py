@@ -11,8 +11,8 @@ for the half-height crossings), since the interesting widths are only a few
 grid steps wide.  The grid therefore only seeds the search: every reported
 center, height and width is a solver evaluation.  All peaks of a sweep are
 refined in lockstep, one batched solve per round, with the same numbers bit
-for bit as one point at a time.  Sweep and peak CSV and JSON are formatted
-here.
+for bit as one point at a time.  Every stdout format of the command line
+(sweep, peaks, transmit, walk and hitting) is written here.
 """
 
 from __future__ import annotations
@@ -278,19 +278,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of numbers."""
+    return "".join([header, "\n", *(",".join(map(_fmt, row)) + "\n" for row in rows)])
+
+
+_AMPLITUDE_HEADER = "kl,re_t,im_t,t2,r2"
+
+
 def sweep_to_csv(sweep: Sweep) -> str:
-    lines = ["kl,re_t,im_t,t2,r2"]
-    t2, r2 = sweep.t2, sweep.r2
-    for i in range(len(sweep.kl)):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    sweep.kl[i], sweep.t[i].real, sweep.t[i].imag, t2[i], r2[i],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(_AMPLITUDE_HEADER,
+                zip(sweep.kl, sweep.t.real, sweep.t.imag, sweep.t2, sweep.r2))
 
 
 def sweep_to_json(sweep: Sweep) -> str:
@@ -308,6 +306,28 @@ def write_sweep_csv(sweep: Sweep, path: str) -> None:
     atomic_write_text(path, sweep_to_csv(sweep))
 
 
+def transmit_to_csv(res) -> str:
+    """One ScatteringResult as a one-row sweep CSV."""
+    return _csv(_AMPLITUDE_HEADER, [(res.kl, res.t_global.real, res.t_global.imag,
+                                     res.t2, res.r2)])
+
+
+def walk_to_csv(series) -> str:
+    """Walk coefficients c_m of a WalkSeries with their step probabilities."""
+    c = series.coefficients
+    return _csv("m,re_c,im_c,p", zip(range(len(c)), c.real, c.imag, abs(c) ** 2))
+
+
+def hitting_to_text(stats, quad) -> str:
+    """h and p_out of one WalkStats, then those of its quadrature check."""
+    return (
+        f"h = {_fmt(stats.hitting_time)}\n"
+        f"p_out = {_fmt(stats.p_out)}\n"
+        f"h_quadrature = {_fmt(quad.hitting_time)}\n"
+        f"p_out_quadrature = {_fmt(quad.p_out)}\n"
+    )
+
+
 def peaks_to_json(peaks) -> str:
     rows = []
     for p in peaks:
@@ -322,10 +342,8 @@ def peaks_to_json(peaks) -> str:
 
 
 def peaks_to_csv(peaks) -> str:
-    lines = ["center,height,fwhm,band_lo,band_hi"]
-    for p in peaks:
-        lines.append(",".join(_fmt(v) for v in (p.center, p.height, p.width, *p.band)))
-    return "\n".join(lines) + "\n"
+    return _csv("center,height,fwhm,band_lo,band_hi",
+                ((p.center, p.height, p.width, *p.band) for p in peaks))
 
 
 def write_peaks_json(peaks, path: str) -> None:

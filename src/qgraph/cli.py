@@ -23,13 +23,15 @@ import sys
 import numpy as np
 
 from .analysis import (
-    _fmt,
     detect_peaks,
+    hitting_to_text,
     peaks_to_csv,
     peaks_to_json,
     sweep_to_csv,
     sweep_to_json,
     sweep_transmission,
+    transmit_to_csv,
+    walk_to_csv,
 )
 from .compose import compose_series, parse_series_shorthand
 from .graphs import (
@@ -94,9 +96,7 @@ def _graph_of(args):
 
 def cmd_transmit(args) -> str:
     graph = _graph_of(args)
-    res = scattering_or_limit(graph, args.kl)
-    row = (res.kl, res.t_global.real, res.t_global.imag, res.t2, res.r2)
-    return "kl,re_t,im_t,t2,r2\n" + ",".join(_fmt(v) for v in row) + "\n"
+    return transmit_to_csv(scattering_or_limit(graph, args.kl))
 
 
 def cmd_sweep(args) -> str:
@@ -113,13 +113,7 @@ def cmd_walk(args) -> str:
         )
     else:
         series = coefficients_via_power_iteration(graph, args.max_order)
-    c = series.coefficients
-    lines = ["m,re_c,im_c,p"]
-    for m in range(len(c)):
-        lines.append(
-            f"{m},{_fmt(c[m].real)},{_fmt(c[m].imag)},{_fmt(abs(c[m]) ** 2)}"
-        )
-    return "\n".join(lines) + "\n"
+    return walk_to_csv(series)
 
 
 def cmd_hitting(args) -> str:
@@ -135,12 +129,7 @@ def cmd_hitting(args) -> str:
                 f"{name} = {exact!r} and {name}_quadrature = {check!r} differ by "
                 f"more than {limit:.1e}"
             )
-    return (
-        f"h = {_fmt(stats.hitting_time)}\n"
-        f"p_out = {_fmt(stats.p_out)}\n"
-        f"h_quadrature = {_fmt(quad.hitting_time)}\n"
-        f"p_out_quadrature = {_fmt(quad.p_out)}\n"
-    )
+    return hitting_to_text(stats, quad)
 
 
 def cmd_peaks(args) -> str:

@@ -430,16 +430,21 @@ def dump_graph(graph: QuantumGraph, path: str) -> None:
     atomic_write_text(path, json.dumps(graph_to_json(graph), indent=2) + "\n")
 
 
-def integral_lengths(graph: QuantumGraph, tol: float = 1e-9):
+# A length within this of a positive integer counts as that integer.
+_INTEGRAL_TOL = 1e-9
+
+
+def integral_lengths(graph: QuantumGraph):
     """Edge lengths rounded to integers, or a ValueError naming the offender.
 
     Walk-series analysis treats one unit of length as one step, so it only
-    applies to graphs whose lengths are (numerically) positive integers.
+    applies to graphs whose lengths are within _INTEGRAL_TOL of positive
+    integers.
     """
     out = []
     for i, e in enumerate(graph.edges):
         q = round(e.length) if math.isfinite(e.length) else 0
-        if q < 1 or abs(e.length - q) > tol:
+        if q < 1 or abs(e.length - q) > _INTEGRAL_TOL:
             raise ValueError(
                 f"edge {i} has non-integral length {e.length!r}; "
                 "walk analysis needs positive integer lengths"

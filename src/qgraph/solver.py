@@ -322,24 +322,27 @@ def green_function_value(graph: QuantumGraph, x_i: float, x_f: float, kl: float)
 # no lead sees or feeds, cancel from both amplitudes but would leave roots that
 # numerator and denominator share only approximately.  S restricted to the
 # modes that couple to a lead keeps the amplitudes exact, and its
-# det(I - z S) is the shared denominator without those roots.  Sampling t*det
-# and det on a circle |z| = rho < 1 and taking an FFT then recovers the
-# polynomial coefficients to near machine precision.
+# det(I - z S) is the shared denominator without those roots.
 #
-# The samples cost O(k^2) each for a reduced system of order k.  One unitary
-# similarity, O(k^3) once, brings the reduced map to upper Hessenberg form H
-# with the injection along e_1.  At every sample an unpivoted elimination of
-# I - z H then needs only the previous pivot row: it yields det(I - z H), and
-# a running forward substitution along the same rows gives
-# c^T (I - z H)^{-1} e_1 for both readouts.  No pivoting is needed: ||S|| <= 1
-# (the vertex matrices are unitary), so the Hermitian part of I - z H is at
-# least (1 - rho) I.  Work is O(k^3 + n_fft k^2), memory O(n_fft k).
+# One unitary similarity, O(k^3) once, brings the reduced map of order k to
+# upper Hessenberg form H with the injection along e_1.  Its structure gives
+# the coefficients exactly (the Hessenberg determinant expansion; Wilkinson,
+# The Algebraic Eigenvalue Problem, 1965).  Expanding the trailing minors
+# q_j = det (I - z H)[j:, j:] along their first row,
+#
+#     q_j = q_{j+1} - sum_{i >= j} h_ji (prod_{l=j+1..i} h_{l,l-1}) z^(i-j+1) q_{i+1},
+#
+# with q_k = 1, and the first column of adj(I - z H) is
+# z^j (prod_{l<=j} h_{l,l-1}) q_{j+1}.  So den = q_0, and both readouts
+# z rows adj(I - z H) e_1 are one product with the table of z^(j+1) q_{j+1}.
+# den(0) = 1 and num(0) = direct hold exactly.  Work is O(k^3), memory O(k^2).
 # ---------------------------------------------------------------------------
 
-_EXTRACT_RHO = 0.95
 # S^(2^40) has decayed on every mode with |lambda| < 1 - 1e-11; roundoff moves
 # the trapped eigenvalues of its Gram matrix by less than 1e-4.
 _COUPLING_SQUARINGS = 40
+# Trailing coefficients below this fraction of the largest are roundoff.
+_TRIM_RTOL = 1e-11
 
 
 def _coupled_basis(smatrix: np.ndarray) -> np.ndarray:
@@ -384,47 +387,6 @@ def _hessenberg(smat: np.ndarray, inj: np.ndarray):
     return g[:, 1:], q, beta
 
 
-def _hessenberg_samples(h: np.ndarray, rows: np.ndarray, z: np.ndarray):
-    """det(I - z H) and rows (I - z H)^{-1} e_1 at every z, for H upper Hessenberg.
-
-    Unpivoted LU, I - z H = L U with L unit lower bidiagonal, row by row:
-    U's row i needs only row i - 1, det is the product of U's diagonal, and
-    L^{-1} e_1 is a running product of the multipliers.  rows U^{-1} comes
-    from forward substitution on U^T, accumulated as each row of U appears.
-    Arrays are (column, sample), so shrinking to the trailing columns slices
-    contiguous memory.
-    """
-    k, n = h.shape[0], len(z)
-    det = np.ones(n, dtype=complex)
-    readout = np.zeros((len(rows), n), dtype=complex)
-    # acc[:, j] = sum over finished rows i of U[i, j] w_i, for j past them.
-    acc = np.zeros((len(rows), k, n), dtype=complex)
-    ell_inv_e1 = np.ones(n, dtype=complex)
-    minus_z = -z
-    prev = None
-    for i in range(k):
-        u = np.multiply.outer(h[i, i:], minus_z)
-        u[0] += 1.0
-        if i:
-            mult = minus_z * h[i, i - 1] / prev[0]
-            u -= mult * prev[1:]
-            ell_inv_e1 *= -mult
-        det *= u[0]
-        w = (rows[:, i, None] - acc[:, i]) / u[0]
-        readout += w * ell_inv_e1
-        for a, wa in zip(acc, w):
-            a[i + 1:] += wa * u[1:]
-        prev = u
-    return det, readout
-
-
-def _sample_count(order: int) -> int:
-    """FFT samples the extractor takes for a reduced system of this order."""
-    # (direct + z readout) det has degree <= order, so 2 (order + 2) samples
-    # leave room; the smallest power of two >= that, and at least 8.
-    return 1 << max(3, (2 * (order + 2) - 1).bit_length())
-
-
 @lru_cache(maxsize=128)
 def _reduce(graph: QuantumGraph) -> tuple:
     """(system, H, rows): the unit-bond map of an integral graph, reduced.
@@ -446,45 +408,35 @@ def _reduce(graph: QuantumGraph) -> tuple:
     return system, h, rows
 
 
+def _trim(poly: np.ndarray) -> np.ndarray:
+    """poly without its trailing coefficients below _TRIM_RTOL of the largest."""
+    keep = np.nonzero(np.abs(poly) > _TRIM_RTOL * np.max(np.abs(poly)))[0]
+    return poly[: keep[-1] + 1] if len(keep) else poly[:1]
+
+
 @lru_cache(maxsize=128)
 def _extract_channels(graph: QuantumGraph) -> tuple:
     """Lowest-terms (transmission, reflection) forms of an integral graph.
 
-    One reduction and one sweep of Hessenberg samples serve both channels,
-    which share the denominator.  Cached per graph object, like the
-    assembled bond system.
+    ``minors[j]`` holds the coefficients of z^j q_j, so row j is
+    minors[j + 1] shifted down one power, minus the weighted sum of the rows
+    below it; one table serves both channels, which share the denominator.
+    Cached per graph object, like the assembled bond system.
     """
     system, h, rows = _reduce(graph)
-    order = h.shape[0]
-    directs = (system.direct_t, system.direct_r)
-
-    n = _sample_count(order)
-    rho = _EXTRACT_RHO
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    z = rho * np.exp(1j * theta)
-    dets, readouts = _hessenberg_samples(h, rows, z)
-
-    def poly_coeffs(samples, degree):
-        raw = np.fft.fft(samples)[: degree + 1]
-        k = np.arange(degree + 1)
-        # Undo the half-sample rotation and the sampling radius.
-        return raw * np.exp(-1j * np.pi * k / n) / n * rho ** (-k.astype(float))
-
-    raw_den = poly_coeffs(dets, order)
-    den = raw_den / raw_den[0]
-    # Trailing coefficients below the sampling noise floor are artifacts.
-    keep = np.abs(den) > 1e-11 * np.max(np.abs(den))
-    den = den[: keep.nonzero()[0].max() + 1]
-
-    amps = []
-    for direct, readout in zip(directs, readouts):
-        num = poly_coeffs((direct + z * readout) * dets, order) / raw_den[0]
-        # det(0) = 1, so the z^0 coefficient is the direct term exactly.
-        num[0] = direct
-        keepn = np.abs(num) > 1e-11 * max(float(np.max(np.abs(num))), 1e-30)
-        num = num[: keepn.nonzero()[0].max() + 1] if keepn.any() else np.zeros(1, complex)
-        amps.append(RationalAmplitude(num, den))
-    return tuple(amps)
+    k = h.shape[0]
+    sub = np.diagonal(h, -1)
+    minors = np.zeros((k + 1, k + 1), dtype=complex)
+    minors[k, k] = 1.0
+    for j in range(k - 1, -1, -1):
+        weights = h[j, j:] * np.cumprod(np.r_[1.0, sub[j:]])
+        minors[j, :-1] = minors[j + 1, 1:]
+        minors[j] -= weights @ minors[j + 1:]
+    # rows_i prod_{l<=i} h_{l,l-1} weighs z^(i+1) q_{i+1} in z rows adj e_1.
+    nums = (np.outer((system.direct_t, system.direct_r), minors[0])
+            + (rows * np.cumprod(np.r_[1.0, sub])) @ minors[1:])
+    den = _trim(minors[0].copy())  # the cached forms must not keep the table alive
+    return tuple(RationalAmplitude(_trim(num), den) for num in nums)
 
 
 def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission") -> RationalAmplitude:
@@ -509,11 +461,10 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
 # solves would cost more than the extraction, at order k = 2 * (total
 # length), the bond count after subdivision; short sweeps and long-edge
 # graphs stay on the solver.  The costs, in microseconds, were fitted within
-# a factor 3 for nb, k from 6 to 600 on a 2-core x86-64 machine (numpy 2.4,
+# a factor 2 for nb, k from 6 to 398 on a 2-core x86-64 machine (numpy 2.4,
 # single-threaded OpenBLAS, solve_many's batches spread over both cores): a
 # dense solve takes 1.3 + 0.025 nb^2 + 5.6e-6 nb^3 per point, and an
-# extraction 430 + 88 k + 6.5e-3 (k^3 + n_fft k^2), for the reduction's
-# O(k^3) and the Hessenberg samples' O(n_fft k^2).
+# extraction 430 + 88 k + 0.023 k^3, almost all of it the reduction.
 # ---------------------------------------------------------------------------
 
 
@@ -522,7 +473,7 @@ def _rational_pays(points: int, nb: int, k: int) -> bool:
     # Past k = 10^100 extraction never pays; the clamp keeps k^3 a finite float.
     k = min(k, 10**100)
     solve_us = 1.3 + 0.025 * nb**2 + 5.6e-6 * nb**3
-    extract_us = 430.0 + 88.0 * k + 6.5e-3 * (k**3 + _sample_count(k) * k**2)
+    extract_us = 430.0 + 88.0 * k + 0.023 * k**3
     return points * solve_us >= extract_us
 
 

@@ -14,7 +14,8 @@ Gramians, answers every chain, and every other route that answers agrees
 with it.
 
 Random small graphs also check the bond-system layout against a reference
-that places each vertex's matrix one entry at a time.
+that places each vertex's matrix one entry at a time, and, with integer
+lengths, both channels' extracted forms against the solver.
 """
 
 import numpy as np
@@ -141,3 +142,24 @@ def test_assembly_matches_a_per_vertex_reference(graph):
     assert np.array_equal(system.out_r, out_r)
     assert system.direct_t == direct_t and system.direct_r == direct_r
     assert np.array_equal(system.lengths, np.repeat([e.length for e in graph.edges], 2))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graph=small_graphs().map(lambda g: qg.scale_lengths(g, 4.0)),
+                  seed=st.integers(0, 2**32 - 1))
+def test_extracted_forms_match_solver_on_custom_vertices(graph, seed):
+    # integer lengths 2, 4, 5 and 8 on custom non-symmetric vertices,
+    # self-loops, multi-edges and shared lead vertices: both channels'
+    # forms agree with the solver wherever its solve is regular
+    from qgraph.solver import _singular
+
+    kl = np.random.default_rng(seed).uniform(1e-3, 2.0 * np.pi - 1e-3, size=32)
+    t, r = qg.solve_many(graph, kl)
+    regular = ~_singular(kl, t, r)
+    z = np.exp(1j * kl[regular])
+    for channel, solved in (("transmission", t), ("reflection", r)):
+        amp = qg.extract_rational_amplitude(graph, channel)
+        den = np.polynomial.polynomial.polyval(z, amp.den)
+        form = np.polynomial.polynomial.polyval(z, amp.num) / den
+        tol = 1e-10 + 1e-13 * np.sum(np.abs(amp.den)) / np.abs(den)
+        assert np.all(np.abs(form - solved[regular]) < tol)
