@@ -93,7 +93,7 @@ class QuantumGraph:
     ``vertex_ids`` and ``boundary`` run in parallel; a boundary entry is the
     string ``NK`` or a complex square ndarray.  ``leads`` lists the vertices
     carrying leads in channel order (entrance first).  Instances compare and
-    hash by identity, which lets the solver cache assembled systems.
+    hash by identity; ``_memo`` holds the solver's derived data, freed with them.
     """
 
     vertex_ids: tuple
@@ -119,6 +119,7 @@ class QuantumGraph:
         object.__setattr__(self, "_degrees", Counter(ends))
         indices = {v: i for i, v in reversed(list(enumerate(self.vertex_ids)))}
         object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def num_vertices(self) -> int:

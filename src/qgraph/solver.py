@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -95,13 +95,21 @@ class ScatteringResult:
         return abs(self.r_global) ** 2
 
 
+def _per_graph(fn):
+    """Memoize fn(graph) in the graph, for its lifetime; exceptions are not kept.
+
+    Unlocked: threads racing on one new graph at worst compute it twice.
+    """
+    @wraps(fn)
+    def memoized(graph: QuantumGraph):
+        if fn not in graph._memo:
+            graph._memo[fn] = fn(graph)
+        return graph._memo[fn]
+    return memoized
+
+
+@_per_graph
 def assemble_bond_system(graph: QuantumGraph) -> BondSystem:
-    """Build S, the injection vector, and the readout rows for a valid graph."""
-    return _assemble_cached(graph)
-
-
-@lru_cache(maxsize=128)
-def _assemble_cached(graph: QuantumGraph) -> BondSystem:
     """Validate, then lay the vertex matrices out on the directed bonds.
 
     Ports at a vertex are its incident edge ends in (edge index, end) order,
@@ -112,8 +120,6 @@ def _assemble_cached(graph: QuantumGraph) -> BondSystem:
     shares nk_vertex_matrix(d)) are written by one scatter into smatrix;
     the lead rows and columns then come from the two lead vertices.
     """
-    # Graphs are immutable and hash by identity, so each is validated once;
-    # an invalid one raises on every call, since exceptions are not cached.
     report = validate_graph(graph)
     if not report.ok:
         raise ValueError("cannot assemble an invalid graph:\n" + str(report))
@@ -387,7 +393,7 @@ def _hessenberg(smat: np.ndarray, inj: np.ndarray):
     return g[:, 1:], q, beta
 
 
-@lru_cache(maxsize=128)
+@_per_graph
 def _reduce(graph: QuantumGraph) -> tuple:
     """(system, H, rows): the unit-bond map of an integral graph, reduced.
 
@@ -395,8 +401,8 @@ def _reduce(graph: QuantumGraph) -> tuple:
     to the modes that couple to a lead, in Hessenberg form with the
     injection along e_1, and ``rows`` the (transmission, reflection)
     readouts in that basis, scaled by the injection's norm: for m >= 1 the
-    walk amplitude is c_m = rows H^(m-1) e_1.  Cached per graph object, so
-    extraction and the exact walk statistics share one reduction.
+    walk amplitude is c_m = rows H^(m-1) e_1.  Kept on the graph object,
+    so extraction and the exact walk statistics share one reduction.
     """
     system = assemble_bond_system(subdivide_integral(graph))
     basis = _coupled_basis(system.smatrix)
@@ -414,14 +420,13 @@ def _trim(poly: np.ndarray) -> np.ndarray:
     return poly[: keep[-1] + 1] if len(keep) else poly[:1]
 
 
-@lru_cache(maxsize=128)
 def _extract_channels(graph: QuantumGraph) -> tuple:
     """Lowest-terms (transmission, reflection) forms of an integral graph.
 
     ``minors[j]`` holds the coefficients of z^j q_j, so row j is
     minors[j + 1] shifted down one power, minus the weighted sum of the rows
     below it; one table serves both channels, which share the denominator.
-    Cached per graph object, like the assembled bond system.
+    Not cached: it reruns only the O(k^3) recurrence on the cached reduction.
     """
     system, h, rows = _reduce(graph)
     k = h.shape[0]
@@ -435,7 +440,7 @@ def _extract_channels(graph: QuantumGraph) -> tuple:
     # rows_i prod_{l<=i} h_{l,l-1} weighs z^(i+1) q_{i+1} in z rows adj e_1.
     nums = (np.outer((system.direct_t, system.direct_r), minors[0])
             + (rows * np.cumprod(np.r_[1.0, sub])) @ minors[1:])
-    den = _trim(minors[0].copy())  # the cached forms must not keep the table alive
+    den = _trim(minors[0].copy())  # a form a caller keeps must not pin the table
     return tuple(RationalAmplitude(_trim(num), den) for num in nums)
 
 

@@ -148,9 +148,10 @@ def _pole_radius(amp: RationalAmplitude):
         return None
     rho = float(np.min(np.abs(np.roots(den[::-1]))))
     if rho <= 1.0 + MARGINAL_MODE_CUTOFF:
-        raise UnitCirclePoleError(
-            f"pole at |z| = {rho:.12f}; the walk series does not decay"
-        )
+        why = ("the walk series does not decay" if rho >= 1.0 - MARGINAL_MODE_CUTOFF
+               else "it lies inside the unit circle, so the form is not "
+               "flux-conserving or its roots lost precision")
+        raise UnitCirclePoleError(f"pole at |z| = {rho:.12f}; {why}")
     return rho
 
 

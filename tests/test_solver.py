@@ -1,6 +1,8 @@
 """Bond-system scattering solver: anchors, invariants, singular limits."""
 
+import gc
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -161,12 +163,46 @@ def test_assemble_requires_two_leads():
 
 
 def test_invalid_graph_raises_on_every_call():
-    # assembly is cached per graph, but a failed validation is not
+    # assembly is memoized on the graph, but a failed validation is not
     graph = qg.make_cycle_graph(3)
     bad = replace(graph, edges=(qg.Edge(1, 2, -1.0),) + graph.edges[1:])
     for _ in range(2):
         with pytest.raises(ValueError, match="non-positive length"):
             qg.scattering_matrix(bad, 1.0)
+
+
+def _c3_c4():
+    return qg.compose_series(qg.parse_series_shorthand("c3-c4"))
+
+
+def _every_cached_route(graph):
+    qg.walk_stats_exact(graph)
+    qg.extract_rational_amplitude(graph, "transmission")
+    qg.extract_rational_amplitude(graph, "reflection")
+    qg.sweep_transmission(graph, 0.1, 3.0, 600)  # past 251 points: rational route
+    qg.solve_many(graph, np.linspace(0.1, 3.0, 7))
+
+
+def test_derived_data_is_freed_with_its_graph():
+    graph = _c3_c4()
+    _every_cached_route(graph)
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
+
+
+def test_reduction_runs_once_per_graph_object(monkeypatch):
+    import qgraph.solver as solver_mod
+
+    calls = []
+    basis = solver_mod._coupled_basis
+    monkeypatch.setattr(solver_mod, "_coupled_basis",
+                        lambda smatrix: calls.append(1) or basis(smatrix))
+    _every_cached_route(_c3_c4())
+    assert len(calls) == 1
+    _every_cached_route(_c3_c4())
+    assert len(calls) == 2
 
 
 def test_square_half_turn_is_a_removable_singularity():

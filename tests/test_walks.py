@@ -220,6 +220,14 @@ def test_genuine_unit_pole_blocks_both_routes():
         qg.walk_stats_by_quadrature(amp)
 
 
+def test_a_root_inside_the_circle_is_named_a_numerical_failure():
+    amp = qg.RationalAmplitude(num=[1.0], den=[1.0, -2.0])  # root at z = 0.5
+    for route in (qg.walk_stats_to_tolerance, qg.walk_stats_by_quadrature):
+        with pytest.raises(qg.UnitCirclePoleError,
+                           match="inside the unit circle, so the form is not flux-conserving"):
+            route(amp)
+
+
 def test_quadrature_rejects_flux_violations():
     amp = qg.RationalAmplitude(num=[2.0], den=[1.0])
     with pytest.raises(ValueError, match="flux"):
