@@ -7,11 +7,11 @@ wide bands where the transmission is suppressed, chained cycle graphs
 develop very narrow resonances of full transmission; the detectors here
 locate those bands by interval arithmetic on the grid and then refine each
 peak against the solver itself (golden-section for the center, bisection
-for the half-height crossings), since the interesting widths are only a few
-grid steps wide.  The grid therefore only seeds the search: every reported
-center, height and width is a solver evaluation.  All peaks of a sweep are
-refined in lockstep, one batched solve per round, with the same numbers bit
-for bit as one point at a time.  Every stdout format of the command line
+of the grid step that brackets each half-height crossing), since the
+interesting widths are only a few grid steps wide.  Every reported center,
+height and width is a solver evaluation.  All peaks of a sweep are refined
+in lockstep, one batched solve per round, with the same numbers bit for bit
+as one point at a time.  Every stdout format of the command line
 (sweep, peaks, transmit, walk and hitting) is written here.
 """
 
@@ -30,7 +30,6 @@ FULL_TRANSMISSION_HEIGHT = 0.999
 REFINE_TOL = 1e-9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MARCH_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,22 +136,16 @@ def detect_suppression_bands(sweep: Sweep, floor: float = DEFAULT_BAND_FLOOR):
     kl = sweep.kl
     # +1 where a below-floor run starts, -1 one past where it ends.
     steps = np.diff((sweep.t2 < floor).astype(np.int8), prepend=0, append=0)
-    clusters = [  # [lo, hi, total below-floor width]
-        [kl[i], kl[j], kl[j] - kl[i]]
-        for i, j in zip(np.nonzero(steps == 1)[0], np.nonzero(steps == -1)[0] - 1)
-    ]
-
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(clusters) - 1):
-            cur, nxt = clusters[i], clusters[i + 1]
-            gap = nxt[0] - cur[1]
-            if gap < cur[2] + nxt[2]:
-                clusters[i:i + 2] = [[cur[0], nxt[1], cur[2] + nxt[2]]]
-                merged = True
-                break
-
+    # Merging only widens clusters and keeps the gaps between them, so one
+    # pass with a stack reaches the fixed point of merging in any order.
+    clusters = []  # [lo, hi, total below-floor width]
+    for i, j in zip(np.nonzero(steps == 1)[0], np.nonzero(steps == -1)[0] - 1):
+        lo, hi = kl[i], kl[j]
+        width = hi - lo
+        while clusters and lo - clusters[-1][1] < clusters[-1][2] + width:
+            lo, _, below = clusters.pop()
+            width = below + width
+        clusters.append([lo, hi, width])
     return [(float(lo), float(hi)) for lo, hi, _ in clusters]
 
 
@@ -175,32 +168,32 @@ def _golden_max(a: float, b: float):
     return x, fx
 
 
-def _half_crossing(center: float, half: float, step: float, bound: float):
-    """Where |T|^2 falls to ``half`` between center and bound (step < 0: left).
+def _grid_bracket(kl, t2, center: float, half: float, side: int):
+    """(inside, outside): the grid step past center (side -1: left) where t2 falls to half.
 
-    Marches in grid steps, _MARCH_BLOCK per round, to the first point at or
-    below half or at the bound, then bisects the last step to REFINE_TOL.
+    ``outside`` is the first grid point with t2 <= half, or the end of the
+    grid; ``inside`` is the grid point before it, or center.
     """
-    outward, inward = (max, min) if step < 0 else (min, max)
-    block = [center]
-    while True:
-        while len(block) < _MARCH_BLOCK and block[-1] != bound:
-            block.append(outward(bound, block[-1] + step))
-        values = yield tuple(block)
-        stops = [x for x, v in zip(block, values) if v <= half or x == bound]
-        if stops:
-            break
-        block = [outward(bound, block[-1] + step)]
+    if side < 0:  # mirror: negation is exact, so the left side is the right one
+        kl, t2, center = -kl[::-1], t2[::-1], -center
+    start = int(np.searchsorted(kl, center, "right"))
+    below = np.flatnonzero(t2[start:] <= half)
+    stop = start + int(below[0]) if len(below) else len(kl) - 1
+    inside = float(kl[stop - 1]) if stop > start else center
+    return side * inside, side * float(kl[stop])
 
-    inside, outside = inward(center, stops[0] - step), stops[0]
-    while abs(outside - inside) > REFINE_TOL:
+
+def _half_crossing(inside: float, outside: float, half: float):
+    """Where |T|^2 falls to ``half``: [inside, outside] bisected, at least once, to REFINE_TOL."""
+    while True:
         mid = 0.5 * (inside + outside)
         (value,) = yield (mid,)
         if value > half:
             inside = mid
         else:
             outside = mid
-    return 0.5 * (inside + outside)
+        if abs(outside - inside) <= REFINE_TOL:
+            return 0.5 * (inside + outside)
 
 
 def _lockstep(graph: QuantumGraph, searches: list) -> list:
@@ -231,8 +224,8 @@ def detect_peaks(sweep: Sweep, min_height: float = 0.99):
 
     Grid-level local maxima inside each band seed a golden-section
     maximization of the solver's |T|^2 between the neighboring grid points
-    (centers to 1e-9); the full width at half maximum comes from marching to
-    the half-height crossings and bisecting them to 1e-9, all peaks in
+    (centers to 1e-9).  The grid step where each half-height crossing lies
+    (see _grid_bracket) is bisected against the solver to 1e-9, all peaks in
     lockstep.  Peaks whose refined height stays below ``min_height`` are
     dropped.  Heights are always direct solver evaluations, never grid
     interpolations.
@@ -260,9 +253,8 @@ def detect_peaks(sweep: Sweep, min_height: float = 0.99):
         kept.append((center, height, band))
 
     crossings = _lockstep(sweep.graph, [
-        _half_crossing(center, 0.5 * height, step, float(bound))
-        for center, height, _ in kept
-        for step, bound in ((-sweep.resolution, kl[0]), (sweep.resolution, kl[-1]))
+        _half_crossing(*_grid_bracket(kl, t2, center, 0.5 * height, side), 0.5 * height)
+        for center, height, _ in kept for side in (-1, 1)
     ])
     return [PeakReport(center=c, height=h, width=right - left, band=b)
             for (c, h, b), left, right in zip(kept, crossings[::2], crossings[1::2])]
@@ -283,6 +275,16 @@ def _csv(header: str, rows) -> str:
     return "".join([header, "\n", *(",".join(map(_fmt, row)) + "\n" for row in rows)])
 
 
+def _json(header: str, rows) -> str:
+    """An array with one object per row, keyed by the header; a tuple is an array."""
+    def value(x):
+        return f"[{', '.join(map(_fmt, x))}]" if isinstance(x, tuple) else _fmt(x)
+
+    keys = [f'"{key}": ' for key in header.split(",")]
+    objects = ["  {" + ", ".join(k + value(x) for k, x in zip(keys, row)) + "}" for row in rows]
+    return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
+
+
 _AMPLITUDE_HEADER = "kl,re_t,im_t,t2,r2"
 
 
@@ -292,14 +294,8 @@ def sweep_to_csv(sweep: Sweep) -> str:
 
 
 def sweep_to_json(sweep: Sweep) -> str:
-    t2, r2 = sweep.t2, sweep.r2
-    rows = [
-        "  {" + f'"kl": {_fmt(sweep.kl[i])}, "re_t": {_fmt(sweep.t[i].real)}, '
-        f'"im_t": {_fmt(sweep.t[i].imag)}, "t2": {_fmt(t2[i])}, '
-        f'"r2": {_fmt(r2[i])}' + "}"
-        for i in range(len(sweep.kl))
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    return _json(_AMPLITUDE_HEADER,
+                 zip(sweep.kl, sweep.t.real, sweep.t.imag, sweep.t2, sweep.r2))
 
 
 def write_sweep_csv(sweep: Sweep, path: str) -> None:
@@ -329,16 +325,8 @@ def hitting_to_text(stats, quad) -> str:
 
 
 def peaks_to_json(peaks) -> str:
-    rows = []
-    for p in peaks:
-        rows.append(
-            "  {"
-            + f'"center": {_fmt(p.center)}, "height": {_fmt(p.height)}, '
-            + f'"fwhm": {_fmt(p.width)}, '
-            + f'"band": [{_fmt(p.band[0])}, {_fmt(p.band[1])}]'
-            + "}"
-        )
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    return _json("center,height,fwhm,band",
+                 ((p.center, p.height, p.width, p.band) for p in peaks))
 
 
 def peaks_to_csv(peaks) -> str:

@@ -134,8 +134,8 @@ def cmd_hitting(args) -> str:
 
 def cmd_peaks(args) -> str:
     graph = _graph_of(args)
-    if args.resolution <= 0:
-        raise ValueError(f"--resolution: must be positive, got {args.resolution}")
+    if not 0 < args.resolution < np.inf:
+        raise ValueError(f"--resolution: must be positive and finite, got {args.resolution}")
     if not (0 < args.kl_min < args.kl_max < np.inf):
         raise ValueError(
             f"--kl-min/--kl-max: need 0 < min < max < inf, got {args.kl_min}, {args.kl_max}"

@@ -38,6 +38,9 @@ LIMIT_OFFSET = 1e-9
 # phase exceeds 0.1 rad, so amplitudes would keep no correct digits.
 MAX_PHASE = 1e15
 
+# A rational-route sweep point whose Horner rounding bound exceeds this is re-solved.
+HORNER_TOL = 1e-9
+
 # Element budget per LAPACK batch; keeps peak memory modest on fine sweeps.
 _BATCH_ELEMENTS = 1 << 21
 
@@ -495,7 +498,15 @@ def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
             z = np.exp(1j * grid)
             den = npoly.polyval(z, t_amp.den)
             t, r = npoly.polyval(z, t_amp.num) / den, npoly.polyval(z, r_amp.num) / den
+            # On |z| = 1 Horner's rule errs by at most 2 n eps sum |p_k| (Higham,
+            # Accuracy and Stability of Numerical Algorithms, 2002, 5.1), so
+            # num/den by 2 n eps (sum |num_k| + |num/den| sum |den_k|) / |den|.
+            n = max(len(t_amp.num), len(r_amp.num), len(t_amp.den))
+            scale = 2.0 * n * np.finfo(float).eps / np.abs(den)
             bad = _singular(grid, t, r)
+            for amp, value in ((t_amp, t), (r_amp, r)):
+                bound = scale * (np.abs(amp.num).sum() + np.abs(value) * np.abs(amp.den).sum())
+                bad |= ~(bound <= HORNER_TOL)  # a NaN bound fails too
             if bad.any():
                 t[bad], r[bad] = _repair(graph, grid[bad], *solve_many(graph, grid[bad]))
             return t, r

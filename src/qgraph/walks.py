@@ -87,6 +87,21 @@ class WalkStats:
     hitting_time: float
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (0 < tolerance < np.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+
+
+def _walk_stats(p_out: float, moment: float, p_of_m=np.zeros(0)) -> WalkStats:
+    """WalkStats from sum P(m) and sum m P(m) over m >= 1; refuses no weight and h < 1."""
+    if p_out <= 0.0:
+        raise ValueError("no transmitted weight at steps m >= 1; the amplitude is constant")
+    h = moment / p_out
+    if h < 1.0:
+        raise ArithmeticError(f"hitting time {h} < 1; the walk statistics are inconsistent")
+    return WalkStats(p_of_m=p_of_m, p_out=p_out, hitting_time=h)
+
+
 def _recurrence(num: np.ndarray, den: np.ndarray, order: int, head=()) -> np.ndarray:
     """Taylor coefficients of num/den via c_m = (num_m - sum den_j c_{m-j})/den_0.
 
@@ -203,8 +218,7 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
     no weight at m >= 1 is a constant, whose hitting time is undefined: it
     raises ValueError.  The tolerance must lie in (0, inf).
     """
-    if not (0 < tolerance < np.inf):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    _check_tolerance(tolerance)
     rho = _pole_radius(amp)
     degree = len(np.trim_zeros(amp.den, "b")) - 1
     order = 64
@@ -218,23 +232,18 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
         c = WalkSeries(coefficients=_recurrence(amp.num, amp.den, order, c),
                        order=order).coefficients
         p = np.abs(c) ** 2
-        p_out = float(p[1:].sum())
-        if p_out <= 0.0:
-            # order >= len(num) + deg den, so every later coefficient is 0 too.
-            raise ValueError("no transmitted weight at steps m >= 1; the amplitude is constant")
-        h = float(np.dot(np.arange(1, len(p), dtype=float), p[1:])) / p_out
-        err = _geometric_tail(c, rho, max(32, degree)) * (1.0 + h) / p_out
+        # order >= len(num) + deg den, so no weight now means none later.
+        stats = _walk_stats(float(p[1:].sum()),
+                            float(np.dot(np.arange(1, len(p), dtype=float), p[1:])), p)
+        err = _geometric_tail(c, rho, max(32, degree)) * (1.0 + stats.hitting_time) / stats.p_out
         if err < tolerance:
-            break
+            return stats
         if order >= ORDER_CAP:
             raise TruncationError(
                 f"order {order} leaves hitting-time error ~{err:.3e} "
                 f"(> {tolerance:.1e}); the series decays too slowly to certify"
             )
         order *= 2
-    if h < 1.0:
-        raise ArithmeticError(f"hitting time {h} < 1; series is inconsistent")
-    return WalkStats(p_of_m=p, p_out=p_out, hitting_time=h)
 
 
 def _gramian_stats(h: np.ndarray, row: np.ndarray, tolerance: float) -> WalkStats:
@@ -267,23 +276,19 @@ def _gramian_stats(h: np.ndarray, row: np.ndarray, tolerance: float) -> WalkStat
         a = a @ a
         n *= 2
         squarings += 1
-    p_out = float(w[0, 0].real) if k else 0.0
-    if p_out <= 0.0:
-        raise ValueError("no transmitted weight at steps m >= 1; the amplitude is constant")
-    h_time = float((w[0, 0] + v[0, 0]).real) / p_out
+    w00, v00 = (w[0, 0], v[0, 0]) if k else (0.0, 0.0)
+    stats = _walk_stats(float(w00.real), float((w00 + v00).real))
     # V_inf = V + A^H (V_inf + N W_inf) A with ||W_inf|| <= 1.
     v_inf = (float(np.linalg.norm(v)) + n * a_norm2) / (1.0 - a_norm2)
     # p_out is off by at most |x|^2 and the first moment by |x|^2 (N + 1 + |V_inf|).
     x2 = float(np.linalg.norm(a[:, 0]) ** 2)
-    err = x2 * (n + 1 + v_inf + h_time) / p_out
+    err = x2 * (n + 1 + v_inf + stats.hitting_time) / stats.p_out
     if not err < tolerance:
         raise TruncationError(
             f"after {squarings} squarings the hitting-time remainder is "
             f"{err:.3e} (> {tolerance:.1e})"
         )
-    if h_time < 1.0:
-        raise ArithmeticError(f"hitting time {h_time} < 1; the Gramians are inconsistent")
-    return WalkStats(p_of_m=np.zeros(0), p_out=p_out, hitting_time=h_time)
+    return stats
 
 
 def walk_stats_exact(graph: QuantumGraph, tolerance: float = 1e-8) -> WalkStats:
@@ -298,8 +303,7 @@ def walk_stats_exact(graph: QuantumGraph, tolerance: float = 1e-8) -> WalkStats:
     (0, inf) or a graph with no transmitted weight at m >= 1.  P(m) is not
     resolved, so p_of_m comes back empty.
     """
-    if not (0 < tolerance < np.inf):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    _check_tolerance(tolerance)
     _, h, rows = _reduce(graph)
     return _gramian_stats(h, rows[0], tolerance)
 
@@ -376,8 +380,4 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
             f"mean |T|^2 = {p_out:.6f} is outside (0, 1]; "
             "amplitude is not flux-conserving"
         )
-    p_out -= float(abs(amp.num[0] / amp.den[0])) ** 2
-    if p_out <= 0.0:
-        raise ValueError("no transmitted weight at steps m >= 1; the amplitude is constant")
-    h = moment / p_out
-    return WalkStats(p_of_m=np.zeros(0), p_out=p_out, hitting_time=h)
+    return _walk_stats(p_out - float(abs(amp.num[0] / amp.den[0])) ** 2, moment)

@@ -105,6 +105,28 @@ def test_rational_route_starts_at_the_extraction_cost(text, samples, monkeypatch
     assert np.max(np.abs(sweep.r - r_ref)) < 1e-10
 
 
+def test_rational_route_sweep_of_a_long_chain_matches_the_solver(monkeypatch):
+    # On six chained triangles Horner's rule on the forms' coefficients
+    # loses digits (t off by 3e-7 where its rounding bound is not checked);
+    # the points whose bound exceeds HORNER_TOL are solved instead.
+    import qgraph.solver as solver_mod
+
+    graph = qg.compose_series(qg.parse_series_shorthand("c3-c3-c3-c3-c3-c3"))
+    forms, used = solver_mod._extract_channels, []
+
+    def recording(graph):
+        used.append(graph)
+        return forms(graph)
+
+    monkeypatch.setattr(solver_mod, "_extract_channels", recording)
+    sweep = qg.sweep_transmission(graph, 0.01, TWO_PI - 0.01, 4001)
+    t, r = qg.solve_many(graph, sweep.kl)
+    regular = ~solver_mod._singular(sweep.kl, t, r)
+    assert used and regular.sum() > 3900
+    assert np.max(np.abs(sweep.t - t)[regular]) < 1e-9
+    assert np.max(np.abs(sweep.r - r)[regular]) < 1e-9
+
+
 @pytest.mark.parametrize("text", ["c3-c3", "c4-c4", "c3-c4-c3"])
 def test_peak_heights_are_solver_evaluations(text):
     # the grid only seeds refinement; centers and heights come from the solver
@@ -180,6 +202,77 @@ def test_peak_refinement_batches_its_solves(monkeypatch):
     monkeypatch.setattr(analysis, "solve_many", counting)
     assert len(qg.detect_peaks(sweep)) == 4
     assert len(calls) <= 120
+
+
+def _bracket_by_loop(kl, t2, center, half, side):
+    # the first grid point past center at or below half, or the end of the
+    # grid, and the grid point before it or center, as a plain loop
+    order = range(len(kl)) if side > 0 else range(len(kl) - 1, -1, -1)
+    past = [j for j in order if side * (kl[j] - center) > 0]
+    inside = center
+    for j in past:
+        if t2[j] <= half or j == past[-1]:
+            return inside, float(kl[j])
+        inside = float(kl[j])
+
+
+def _recorded_brackets(monkeypatch, sweep, min_height=0.99):
+    # peaks, and every crossing search's starting bracket with its ask count
+    brackets = []
+    bisect = analysis._half_crossing
+
+    def recording(inside, outside, half):
+        record = [inside, outside, half, 0]
+        brackets.append(record)
+        search = bisect(inside, outside, half)
+        ask = next(search)
+        try:
+            while True:
+                record[3] += 1
+                ask = search.send((yield ask))
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(analysis, "_half_crossing", recording)
+    return qg.detect_peaks(sweep, min_height), brackets
+
+
+@pytest.mark.parametrize("text", ["c3-c3", "c4-c4", "c3-c4-c3"])
+def test_crossings_are_bracketed_by_the_grid(text, monkeypatch):
+    graph = qg.compose_series(qg.parse_series_shorthand(text))
+    sweep = _peak_sweep(graph, resolution=1e-4)
+    peaks, brackets = _recorded_brackets(monkeypatch, sweep)
+    expected = [
+        [*_bracket_by_loop(sweep.kl, sweep.t2, p.center, 0.5 * p.height, side), 0.5 * p.height]
+        for p in peaks for side in (-1, 1)
+    ]
+    assert peaks and [b[:3] for b in brackets] == expected
+    # only the last grid step is bisected, to REFINE_TOL: 17 rounds at most
+    assert max(b[3] for b in brackets) <= 17
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.25])
+def test_crossing_brackets_at_a_grid_center_and_past_the_grid_end(offset, monkeypatch):
+    # A bump of 0.012 between a 0.001 floor on its left and 0.008 up to the
+    # end of the grid on its right, all one band.  Its center is put on its
+    # grid point or a quarter step left of it; either way the left crossing
+    # lies in the step next to the center, and half the height, 0.006, is
+    # never reached on the right.
+    graph = qg.compose_series(qg.parse_series_shorthand("c3-c3"))
+    kl = np.linspace(2.0, 2.4, 201)
+    t2 = np.r_[np.full(100, 0.001), 0.012, np.full(100, 0.008)]
+    sweep = analysis.Sweep(graph=graph, kl=kl, t=np.sqrt(t2), r=np.sqrt(1.0 - t2),
+                           resolution=kl[1] - kl[0])
+    center = float(kl[100] + offset * sweep.resolution)
+
+    def fixed(a, b):
+        yield (center,)
+        return center, float(t2[100])
+
+    monkeypatch.setattr(analysis, "_golden_max", fixed)
+    peaks, brackets = _recorded_brackets(monkeypatch, sweep, min_height=0.01)
+    assert [p.center for p in peaks] == [center]
+    assert [b[:2] for b in brackets] == [[center, kl[99]], [kl[199], kl[200]]]
 
 
 def test_batched_refinement_applies_the_singular_point_policy(monkeypatch):

@@ -208,6 +208,7 @@ INF_LENGTH_JSON = (
         ["sweep", "--graph", "c3", "--kl-min", "2.0", "--kl-max", "1.0",
          "--samples", "10"],
         ["peaks", "--graph", "c3", "--resolution", "-0.1"],
+        ["peaks", "--graph", "c3", "--resolution", "nan"],
         ["walk", "--graph", "c3+c4-c3"],
         ["sweep", "--graph", "c3", "--kl-min", "0.1", "--kl-max", "inf",
          "--samples", "10"],
@@ -243,6 +244,12 @@ def test_usage_errors_exit_one(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "qgraph: error:" in captured.err
+
+
+@pytest.mark.parametrize("resolution", ["nan", "inf"])
+def test_peaks_resolution_errors_name_the_flag(resolution, capsys):
+    assert main(["peaks", "--graph", "c3", "--resolution", resolution]) == 1
+    assert "--resolution: must be positive and finite" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_two(monkeypatch, capsys):

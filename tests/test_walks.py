@@ -168,6 +168,14 @@ def test_no_transmitted_weight_is_reported():
         qg.walk_stats_by_quadrature(constant)
 
 
+def test_quadrature_refuses_a_hitting_time_below_one(monkeypatch):
+    # sum m P(m) over m >= 1 is at least p_out, so h < 1 means the route is
+    # inconsistent; the circle means are faked to p_out 0.5, moment 0.25
+    monkeypatch.setattr("qgraph.walks._circle_means", lambda polys, n, shift: np.array([0.5, 0.25]))
+    with pytest.raises(ArithmeticError, match="hitting time 0.5 < 1"):
+        qg.walk_stats_by_quadrature(qg.RationalAmplitude([0.0, 0.6, 0.8], [1.0]))
+
+
 def test_polynomial_form_is_summed_exactly():
     # a terminating walk: every order >= len(num) holds the whole series
     amp = qg.RationalAmplitude(num=[0.0, 0.6, 0.8], den=[1.0])
