@@ -141,6 +141,11 @@ def cmd_peaks(args) -> str:
             f"--kl-min/--kl-max: need 0 < min < max < inf, got {args.kl_min}, {args.kl_max}"
         )
     samples = int(round((args.kl_max - args.kl_min) / args.resolution)) + 1
+    if samples < 2:
+        raise ValueError(
+            f"--resolution: {args.resolution} leaves fewer than two grid points "
+            f"on [{args.kl_min}, {args.kl_max}]"
+        )
     sweep = sweep_transmission(graph, args.kl_min, args.kl_max, samples)
     peaks = detect_peaks(sweep, min_height=args.min_height)
     return peaks_to_json(peaks) if args.format == "json" else peaks_to_csv(peaks)

@@ -274,7 +274,8 @@ def scattering_matrix(graph: QuantumGraph, kl) -> ScatteringResult:
 
 def _singular(kl, t, r) -> np.ndarray:
     """Mask of singular solves: non-finite, or past SINGULAR_UNITARITY_TOL at real kl."""
-    defect = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
+    with np.errstate(over="ignore"):  # |t|^2 past the float range is singular too
+        defect = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
     return ~(np.isfinite(t) & np.isfinite(r)) | (np.isreal(kl) & (defect > SINGULAR_UNITARITY_TOL))
 
 
@@ -369,31 +370,30 @@ def _coupled_basis(smatrix: np.ndarray) -> np.ndarray:
     return vecs[:, trapped < 0.5]
 
 
-def _hessenberg(smat: np.ndarray, inj: np.ndarray):
-    """(H, Q, beta): H = Q^H smat Q upper Hessenberg, Q^H inj = beta e_1.
+def _hessenberg(smat: np.ndarray, inj: np.ndarray, outs: np.ndarray):
+    """(H, rows): H = Q^H smat Q upper Hessenberg, Q^H inj = beta e_1, rows = beta outs Q.
 
-    Householder steps on the augmented matrix [inj | smat]: step j zeroes
-    column j below row j, by a reflector applied from the left to every
-    column and from the right to the columns of smat, so it is a similarity.
-    Column 0 is inj, and column j > 0 is column j - 1 of H.
+    Householder steps on the augmented matrix [[inj | smat], [0 | outs]]:
+    step j zeroes column j below row j, by a reflector applied from the left
+    to the k state rows and from the right to the columns of smat and outs,
+    so it is a similarity that carries the readout rows along.  Column 0 is
+    inj, column j > 0 is column j - 1 of H, and Q is never formed.
     """
     k = len(inj)
-    g = np.column_stack([inj, smat]).astype(complex)
-    q = np.eye(k, dtype=complex)
+    g = np.block([[inj[:, None], smat], [np.zeros((len(outs), 1)), outs]]).astype(complex)
     for j in range(k - 1):
-        x = g[j:, j]
+        x = g[j:k, j]
         norm = np.linalg.norm(x)
         if norm == 0.0:
             continue
         v = x.copy()
         v[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
         v /= np.linalg.norm(v)
-        g[j:, j:] -= 2.0 * np.outer(v, v.conj() @ g[j:, j:])
-        g[:, j + 1:] -= 2.0 * np.outer(g[:, j + 1:] @ v, v.conj())
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v.conj())
-        g[j + 1:, j] = 0.0
+        g[j:k, j:] -= np.outer(v, 2.0 * (v.conj() @ g[j:k, j:]))
+        g[:, j + 1:] -= np.outer(2.0 * (g[:, j + 1:] @ v), v.conj())
+        g[j + 1:k, j] = 0.0
     beta = g[0, 0] if k else 0.0
-    return g[:, 1:], q, beta
+    return g[:k, 1:], beta * g[k:, 1:]
 
 
 @_per_graph
@@ -409,9 +409,9 @@ def _reduce(graph: QuantumGraph) -> tuple:
     """
     system = assemble_bond_system(subdivide_integral(graph))
     basis = _coupled_basis(system.smatrix)
-    h, q, beta = _hessenberg(basis.conj().T @ system.smatrix @ basis,
-                             basis.conj().T @ system.inj)
-    rows = np.array([beta * (out @ basis @ q) for out in (system.out_t, system.out_r)])
+    h, rows = _hessenberg(basis.conj().T @ system.smatrix @ basis,
+                          basis.conj().T @ system.inj,
+                          np.array([system.out_t, system.out_r]) @ basis)
     for arr in (h, rows):
         arr.setflags(write=False)
     return system, h, rows

@@ -37,6 +37,11 @@ ORDER_CAP = 32768
 # GRAMIAN_STOP, and refuses after GRAMIAN_SQUARINGS squarings.
 GRAMIAN_STOP = 1e-17
 GRAMIAN_SQUARINGS = 64
+# walk_stats_exact charges rounding _GRAMIAN_ROUNDING * eps * ||V||_F / p_out
+# on h.  A rounding-level change of H (Arnoldi instead of Householder) moves
+# h by up to 11.6 times eps ||V||_F / p_out (c99-c99); that estimate is at most
+# 4.2e-10 on c3..c99 and every chain of 2-4 cycles of sizes 3-6 (c5-c5-c6-c6).
+_GRAMIAN_ROUNDING = 16.0
 
 # The circle quadrature stops doubling its node count at
 # QUADRATURE_MAX_NODES, and evaluates at most QUADRATURE_CHUNK nodes per FFT.
@@ -257,6 +262,9 @@ def _gramian_stats(h: np.ndarray, row: np.ndarray, tolerance: float) -> WalkStat
     x = A e_1: unitary vertices make the transmission Gramian at most I,
     so the p_out remainder is at most ||x||^2, and the first-moment
     remainder x^H ((N + 1) W_inf + V_inf) x is bounded through ||V|| and N.
+    Rounding in the sums adds an estimate, _GRAMIAN_ROUNDING eps ||V||_F /
+    p_out, to the hitting-time error, so a mode close enough to the unit
+    circle to make V large is refused rather than certified.
     """
     k = h.shape[0]
     a = h
@@ -279,14 +287,17 @@ def _gramian_stats(h: np.ndarray, row: np.ndarray, tolerance: float) -> WalkStat
     w00, v00 = (w[0, 0], v[0, 0]) if k else (0.0, 0.0)
     stats = _walk_stats(float(w00.real), float((w00 + v00).real))
     # V_inf = V + A^H (V_inf + N W_inf) A with ||W_inf|| <= 1.
-    v_inf = (float(np.linalg.norm(v)) + n * a_norm2) / (1.0 - a_norm2)
-    # p_out is off by at most |x|^2 and the first moment by |x|^2 (N + 1 + |V_inf|).
+    v_norm = float(np.linalg.norm(v))
+    v_inf = (v_norm + n * a_norm2) / (1.0 - a_norm2)
+    # p_out is off by at most |x|^2 and the first moment by |x|^2 (N + 1 + |V_inf|),
+    # plus the rounding of the sums.
     x2 = float(np.linalg.norm(a[:, 0]) ** 2)
-    err = x2 * (n + 1 + v_inf + stats.hitting_time) / stats.p_out
+    rounding = _GRAMIAN_ROUNDING * np.finfo(float).eps * v_norm
+    err = (x2 * (n + 1 + v_inf + stats.hitting_time) + rounding) / stats.p_out
     if not err < tolerance:
         raise TruncationError(
-            f"after {squarings} squarings the hitting-time remainder is "
-            f"{err:.3e} (> {tolerance:.1e})"
+            f"after {squarings} squarings the hitting-time remainder and rounding "
+            f"come to {err:.3e} (> {tolerance:.1e})"
         )
     return stats
 
@@ -298,10 +309,10 @@ def walk_stats_exact(graph: QuantumGraph, tolerance: float = 1e-8) -> WalkStats:
     where c_m = c H^(m-1) e_1 for m >= 1, and sums both series through
     their Gramians (_gramian_stats) in log2 N matrix squarings instead of
     N coefficients.  Needs integer edge lengths.  Raises TruncationError
-    when the rigorous remainder bound stays above ``tolerance`` or after
-    GRAMIAN_SQUARINGS squarings, and ValueError for a tolerance outside
-    (0, inf) or a graph with no transmitted weight at m >= 1.  P(m) is not
-    resolved, so p_of_m comes back empty.
+    when the remainder bound plus the rounding estimate stays above
+    ``tolerance`` or after GRAMIAN_SQUARINGS squarings, and ValueError for
+    a tolerance outside (0, inf) or a graph with no transmitted weight at
+    m >= 1.  P(m) is not resolved, so p_of_m comes back empty.
     """
     _check_tolerance(tolerance)
     _, h, rows = _reduce(graph)

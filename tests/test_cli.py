@@ -232,6 +232,8 @@ INF_LENGTH_JSON = (
          "--samples", "3", "--length-scale", "1e308"],
         ["sweep", "--graph", "c3", "--kl-min", "1e299", "--kl-max", "1e300",
          "--samples", "70000"],
+        # the default resolution is coarser than the range
+        ["peaks", "--graph", "c3", "--kl-min", "3", "--kl-max", "3.00001"],
     ],
 )
 def test_usage_errors_exit_one(argv, tmp_path, capsys):
@@ -250,6 +252,12 @@ def test_usage_errors_exit_one(argv, tmp_path, capsys):
 def test_peaks_resolution_errors_name_the_flag(resolution, capsys):
     assert main(["peaks", "--graph", "c3", "--resolution", resolution]) == 1
     assert "--resolution: must be positive and finite" in capsys.readouterr().err
+
+
+def test_peaks_resolution_coarser_than_the_range_names_the_flag(capsys):
+    assert main(["peaks", "--graph", "c3", "--kl-min", "3", "--kl-max", "3.00001"]) == 1
+    err = capsys.readouterr().err
+    assert "--resolution: 0.0001 leaves fewer than two grid points on [3.0, 3.00001]" in err
 
 
 def test_numerical_failures_exit_two(monkeypatch, capsys):
@@ -311,6 +319,21 @@ def test_huge_finite_lengths_take_the_solver_route(command, capsys):
     code = main(command + ["--graph", "c3", "--length-scale", "1e300"])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--kl-min", "1", "--kl-max", "2", "--samples", "3"],
+    ["transmit", "--kl", "1"],
+])
+def test_tiny_lengths_are_a_singular_solve_without_warnings(command, capsys):
+    # every phase rounds to 1, so the solve is singular and |t|^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(command + ["--graph", "c3", "--length-scale", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("qgraph: numerical failure: bond system is singular")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

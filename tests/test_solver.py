@@ -363,13 +363,30 @@ def test_extraction_memory_grows_with_samples_times_order():
 
 
 def test_hessenberg_reduction_puts_the_injection_on_e1():
+    # the second case injects into the first of two blocks, so its second
+    # block is a mode the injection cannot reach: the reduction skips a
+    # column that is already zero
     from qgraph.solver import _hessenberg
 
     rng = np.random.default_rng(7)
-    smat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    inj = rng.normal(size=9) + 1j * rng.normal(size=9)
-    h, q, beta = _hessenberg(smat, inj)
-    assert np.max(np.abs(q.conj().T @ q - np.eye(9))) < 1e-13
-    assert np.max(np.abs(q.conj().T @ smat @ q - h)) < 1e-13
-    assert np.all(np.tril(h, -2) == 0)
-    assert np.max(np.abs(q.conj().T @ inj - beta * np.eye(9)[0])) < 1e-13
+    for blocks in ((9,), (5, 4)):
+        k = sum(blocks)
+        smat = np.zeros((k, k), dtype=complex)
+        lo = 0
+        for size in blocks:
+            smat[lo:lo + size, lo:lo + size] = (rng.normal(size=(size, size))
+                                                + 1j * rng.normal(size=(size, size)))
+            lo += size
+        smat /= 1.25 * np.linalg.norm(smat, 2)
+        inj = np.zeros(k, dtype=complex)
+        inj[:blocks[0]] = rng.normal(size=blocks[0]) + 1j * rng.normal(size=blocks[0])
+        outs = rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
+        h, rows = _hessenberg(smat, inj, outs)
+        assert h.shape == (k, k) and rows.shape == (2, k)
+        assert np.all(np.tril(h, -2) == 0)
+        for z in (0.5, -0.3 + 0.6j, 0.9j):
+            reduced = rows @ np.linalg.solve(np.eye(k) - z * h, np.eye(k)[0])
+            direct = outs @ np.linalg.solve(np.eye(k) - z * smat, inj)
+            assert np.max(np.abs(reduced - direct)) < 1e-13
+        spectrum = np.linalg.eigvals(smat)
+        assert all(np.min(np.abs(spectrum - lam)) < 1e-12 for lam in np.linalg.eigvals(h))

@@ -433,6 +433,16 @@ def test_exact_route_remainder_bound_holds(source, monkeypatch):
     assert answered
 
 
+def test_exact_route_counts_rounding_near_the_unit_circle():
+    # one mode 1e-10 inside the circle: h = 1/(1 - lam^2) ~ 5.0e9, where
+    # rounding in the Gramian sums alone moves h by about 40
+    lam = np.exp(-1e-10)
+    h = np.array([[lam + 0.0j]])
+    row = np.array([np.sqrt(0.5 * (1.0 - lam**2)) + 0.0j])
+    with pytest.raises(qg.TruncationError, match="remainder"):
+        _gramian_stats(h, row, 1e-8)
+
+
 def test_exact_route_refusals():
     c3 = qg.make_cycle_graph(3)
     for tolerance in (0.0, -1.0, float("nan"), float("inf")):
