@@ -41,7 +41,6 @@ from .graphs import (
     Edge,
     QuantumGraph,
     ValidationReport,
-    VertexScattering,
     attach_lead,
     dump_graph,
     graph_from_json,
@@ -97,7 +96,6 @@ __all__ = [
     "TruncationError",
     "UnitCirclePoleError",
     "ValidationReport",
-    "VertexScattering",
     "WalkSeries",
     "WalkStats",
     "assemble_bond_system",

@@ -40,16 +40,21 @@ class Sweep:
     kl: np.ndarray
     t: np.ndarray
     r: np.ndarray
-    resolution: float
 
     def __post_init__(self):
         kl = np.asarray(self.kl, dtype=float)
         if kl.ndim != 1 or len(kl) < 2 or not np.all(np.diff(kl) > 0):
             raise ValueError("sweep grid must be 1-D and strictly increasing")
-        for name in ("kl", "t", "r"):
-            arr = np.asarray(getattr(self, name))
+        for name, arr in (("kl", kl), ("t", np.asarray(self.t)), ("r", np.asarray(self.r))):
+            if arr.shape != kl.shape:
+                raise ValueError(f"sweep {name} has shape {arr.shape}, the grid {kl.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def resolution(self) -> float:
+        """The grid step, kl[1] - kl[0]."""
+        return float(self.kl[1] - self.kl[0])
 
     @property
     def t2(self) -> np.ndarray:
@@ -101,8 +106,7 @@ def sweep_transmission(
         raise ArithmeticError(
             f"sweep produced |T|^2 up to {t2max}; singularities were not resolved"
         )
-    resolution = float(grid[1] - grid[0])
-    return Sweep(graph=graph, kl=grid, t=t, r=r, resolution=resolution)
+    return Sweep(graph=graph, kl=grid, t=t, r=r)
 
 
 def check_reflection_symmetry(sweep: Sweep) -> float:

@@ -35,6 +35,7 @@ from .analysis import (
 )
 from .compose import compose_series, parse_series_shorthand
 from .graphs import (
+    _physical_memory,
     atomic_write_text,
     load_graph,
     make_cycle_graph,
@@ -140,7 +141,14 @@ def cmd_peaks(args) -> str:
         raise ValueError(
             f"--kl-min/--kl-max: need 0 < min < max < inf, got {args.kl_min}, {args.kl_max}"
         )
-    samples = int(round((args.kl_max - args.kl_min) / args.resolution)) + 1
+    steps = (args.kl_max - args.kl_min) / args.resolution
+    # Checked as a float, before int() or the sweep: t alone takes 16 bytes a point.
+    if not (np.isfinite(steps) and 16.0 * (steps + 1) <= _physical_memory()):
+        raise ValueError(
+            f"--resolution: {args.resolution} gives {steps + 1:.3g} grid points on "
+            f"[{args.kl_min}, {args.kl_max}], more than physical memory holds"
+        )
+    samples = int(round(steps)) + 1
     if samples < 2:
         raise ValueError(
             f"--resolution: {args.resolution} leaves fewer than two grid points "

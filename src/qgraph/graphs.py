@@ -41,40 +41,22 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(m @ m.conj().T - eye)))
 
 
-@dataclass(frozen=True)
-class VertexScattering:
-    """Unitary amplitudes at one vertex.
+def nk_vertex_matrix(degree: int) -> np.ndarray:
+    """Read-only Neumann-Kirchhoff vertex matrix for a given total degree.
 
     Entry (b, a) is the amplitude from the incoming direction on port a to
-    the outgoing direction on port b; diagonal entries are back-reflections.
-    """
-
-    degree: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.degree, self.degree):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match degree {self.degree}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def nk_vertex_matrix(degree: int) -> VertexScattering:
-    """Neumann-Kirchhoff vertex matrix for a given total degree.
-
-    Off-diagonal entries are 2/d and diagonal entries 2/d - 1, so every row
-    sums to 1 and the matrix is unitary for any d >= 1.  Degree 3 gives
-    r = -1/3, t = 2/3; degree 2 gives r = 0, t = 1 (a perfect pass-through).
+    the outgoing direction on port b.  Off-diagonal entries are 2/d and
+    diagonal entries 2/d - 1, so every row sums to 1 and the matrix is
+    unitary for any d >= 1.  Degree 3 gives r = -1/3, t = 2/3; degree 2
+    gives r = 0, t = 1 (a perfect pass-through).
     """
     if not isinstance(degree, (int, np.integer)) or degree < 1:
         raise ValueError(f"vertex degree must be an integer >= 1, got {degree!r}")
     d = int(degree)
     m = np.full((d, d), 2.0 / d, dtype=complex)
     np.fill_diagonal(m, 2.0 / d - 1.0)
-    return VertexScattering(degree=d, matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -148,7 +130,7 @@ class QuantumGraph:
         if isinstance(bc, str):
             if bc != NK:
                 raise ValueError(f"unknown boundary tag {bc!r} at vertex {vid}")
-            return nk_vertex_matrix(self.degree(vid)).matrix
+            return nk_vertex_matrix(self.degree(vid))
         return bc
 
 

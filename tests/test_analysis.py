@@ -28,6 +28,16 @@ def test_sweep_grid_and_arrays():
     assert not sweep.t.flags.writeable
 
 
+def test_sweep_stores_its_float_grid_and_derives_the_resolution():
+    graph = qg.make_cycle_graph(3)
+    sweep = analysis.Sweep(graph=graph, kl=[1, 2, 3], t=np.zeros(3), r=np.ones(3))
+    assert sweep.kl.dtype == float and not sweep.kl.flags.writeable
+    assert sweep.resolution == 1.0
+    for t, r in ((np.zeros(2), np.ones(3)), (np.zeros(3), np.ones((3, 1)))):
+        with pytest.raises(ValueError, match="shape"):
+            analysis.Sweep(graph=graph, kl=[1.0, 2.0, 3.0], t=t, r=r)
+
+
 def test_sweep_rejects_bad_ranges():
     graph = qg.make_cycle_graph(3)
     with pytest.raises(ValueError):
@@ -261,8 +271,7 @@ def test_crossing_brackets_at_a_grid_center_and_past_the_grid_end(offset, monkey
     graph = qg.compose_series(qg.parse_series_shorthand("c3-c3"))
     kl = np.linspace(2.0, 2.4, 201)
     t2 = np.r_[np.full(100, 0.001), 0.012, np.full(100, 0.008)]
-    sweep = analysis.Sweep(graph=graph, kl=kl, t=np.sqrt(t2), r=np.sqrt(1.0 - t2),
-                           resolution=kl[1] - kl[0])
+    sweep = analysis.Sweep(graph=graph, kl=kl, t=np.sqrt(t2), r=np.sqrt(1.0 - t2))
     center = float(kl[100] + offset * sweep.resolution)
 
     def fixed(a, b):
@@ -422,7 +431,7 @@ def test_band_scan_matches_a_loop_over_the_grid(seed):
     t2 = np.repeat(rng.uniform(0.0, 0.02, 80), rng.integers(1, 10, 80))[:400]
     t2 = np.pad(t2, (0, 400 - len(t2)), constant_values=seed % 2 * 0.005)
     sweep = analysis.Sweep(graph=qg.make_cycle_graph(3), kl=kl, t=np.sqrt(t2),
-                           r=np.sqrt(1.0 - t2), resolution=kl[1] - kl[0])
+                           r=np.sqrt(1.0 - t2))
     for floor in (0.002, 0.01, 0.019):
         assert qg.detect_suppression_bands(sweep, floor) == _bands_by_loop(kl, sweep.t2, floor)
 

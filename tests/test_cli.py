@@ -234,6 +234,11 @@ INF_LENGTH_JSON = (
          "--samples", "70000"],
         # the default resolution is coarser than the range
         ["peaks", "--graph", "c3", "--kl-min", "3", "--kl-max", "3.00001"],
+        # grids too large to allocate, or to count in an integer
+        ["peaks", "--graph", "c3", "--resolution", "1e-12"],
+        ["peaks", "--graph", "c3", "--resolution", "1e-300"],
+        ["peaks", "--graph", "c3", "--kl-max", "1e300"],
+        ["peaks", "--graph", "c3", "--kl-max", "1e308"],
     ],
 )
 def test_usage_errors_exit_one(argv, tmp_path, capsys):
@@ -258,6 +263,46 @@ def test_peaks_resolution_coarser_than_the_range_names_the_flag(capsys):
     assert main(["peaks", "--graph", "c3", "--kl-min", "3", "--kl-max", "3.00001"]) == 1
     err = capsys.readouterr().err
     assert "--resolution: 0.0001 leaves fewer than two grid points on [3.0, 3.00001]" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--resolution", "1e-12"], "1e-12 gives 6.26e+12 grid points on [0.01, 6.27"),
+    (["--resolution", "1e-300"], "1e-300 gives 6.26e+300 grid points on [0.01, 6.27"),
+    (["--kl-max", "1e300"], "0.0001 gives 1e+304 grid points on [0.01, 1e+300]"),
+    (["--kl-max", "1e308"], "0.0001 gives inf grid points on [0.01, 1e+308]"),
+])
+def test_peaks_grid_past_memory_names_the_flag(flags, message, capsys):
+    assert main(["peaks", "--graph", "c3", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qgraph: error: --resolution: " + message)
+    assert err.endswith("more than physical memory holds\n")
+
+
+def test_peaks_grid_bound_is_sixteen_bytes_a_point(monkeypatch, capsys):
+    # 0.5 on [1, 2] is a three-point grid: 48 bytes of transmission amplitudes
+    argv = ["peaks", "--graph", "c3", "--kl-min", "1", "--kl-max", "2", "--resolution", "0.5"]
+    monkeypatch.setattr("qgraph.cli._physical_memory", lambda: 47.0)
+    assert main(argv) == 1
+    assert "3 grid points on [1.0, 2.0]" in capsys.readouterr().err
+    monkeypatch.setattr("qgraph.cli._physical_memory", lambda: 48.0)
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["nosuch"],
+    ["transmit", "--kl", "1"],
+    ["transmit", "--graph", "c3", "--kl", "abc"],
+])
+def test_argparse_usage_errors_exit_one_with_the_usage_line(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qgraph")
+    assert "error: " in captured.err.splitlines()[-1]
 
 
 def test_numerical_failures_exit_two(monkeypatch, capsys):

@@ -15,13 +15,22 @@ with it.
 
 Random small graphs also check the bond-system layout against a reference
 that places each vertex's matrix one entry at a time, and, with integer
-lengths, both channels' extracted forms against the solver.
+lengths, both channels' extracted forms against the solver.  Written to
+files and run with drawn flags, they hold every subcommand to the exit-code
+contract of the command line.
 """
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 
 import qgraph as qg
+from qgraph.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -163,3 +172,54 @@ def test_extracted_forms_match_solver_on_custom_vertices(graph, seed):
         form = np.polynomial.polynomial.polyval(z, amp.num) / den
         tol = 1e-10 + 1e-13 * np.sum(np.abs(amp.den)) / np.abs(den)
         assert np.all(np.abs(form - solved[regular]) < tol)
+
+
+@st.composite
+def cli_flags(draw, command):
+    """A small graph, scaled to lengths 2, 4, 5 and 8 half of the time so that
+    walk and hitting reach the reduction, and flags for ``command`` that keep
+    every call to milliseconds."""
+    graph = draw(small_graphs())
+    if draw(st.booleans()):
+        graph = qg.scale_lengths(graph, 4.0)
+    kl = st.floats(0.05, 6.2)
+    if command == "transmit":
+        flags = ["--kl", repr(draw(kl))]
+    elif command == "sweep":
+        lo, hi = sorted((draw(kl), draw(kl)))
+        flags = ["--kl-min", repr(lo), "--kl-max", repr(hi),
+                 "--samples", str(draw(st.integers(2, 200))),
+                 "--format", draw(st.sampled_from(["csv", "json"]))]
+    elif command == "walk":
+        flags = ["--max-order", str(draw(st.integers(0, 50))),
+                 "--method", draw(st.sampled_from(["series", "power"]))]
+    elif command == "hitting":
+        flags = ["--tolerance", draw(st.sampled_from(["1e-8", "1e-6"]))]
+    elif command == "peaks":
+        flags = ["--resolution", repr(draw(st.floats(1e-3, 0.05))),
+                 "--format", draw(st.sampled_from(["json", "csv"]))]
+    else:
+        flags = []
+    return graph, flags
+
+
+@pytest.mark.parametrize("command", ["transmit", "sweep", "walk", "hitting", "peaks", "validate"])
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_cli_contract_on_drawn_graphs_and_flags(command, data):
+    # exit 0, 1 or 2, no exception or warning out of main, and a second
+    # identical call (a fresh graph, so nothing is reused) prints the same
+    graph, flags = data.draw(cli_flags(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        qg.dump_graph(graph, path)
+        runs = []
+        for _ in range(2):
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main([command, "--graph", path, *flags])
+            assert code in (0, 1, 2)
+            runs.append((code, out.getvalue()))
+    assert runs[0] == runs[1]

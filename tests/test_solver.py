@@ -123,7 +123,6 @@ def test_bond_system_layout_with_shared_lead_vertex_and_self_loop():
     assert np.array_equal(system.out_r, [0, a[1, 0], 0, 0])
     assert np.array_equal(system.out_t, [0, a[2, 0], 0, 0])
     assert system.direct_r == a[1, 1] and system.direct_t == a[2, 1]
-    assert system.bond_ends == ((1, 2), (2, 1), (2, 2), (2, 2))
     res = qg.scattering_matrix(graph, 1.3)
     assert abs(res.t2 + res.r2 - 1.0) < 1e-12
 

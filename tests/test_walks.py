@@ -411,6 +411,24 @@ def test_exact_route_conserves_flux(source):
     assert abs(total - 1.0) < 1e-13
 
 
+@pytest.mark.parametrize("source, bonds, k, exact_h, exact_p_out", [
+    ("c3-c3-c3-c3-c3-c3-c3-c3", 62, 47, 44.38182962110597, 0.31723698015094326),
+    ("c4-c4-c4-c4-c4-c4-c4-c4", 78, 62, 48.868605137317324, 0.37568865033383364),
+], ids=["c3x8", "c4x8"])
+def test_coupling_projector_drops_every_trapped_mode_of_long_chains(
+        source, bonds, k, exact_h, exact_p_out):
+    # eight-cycle chains trap 15 (c3) and 16 (c4) bond modes, some of them
+    # behind a Krylov subdiagonal of only 1e-4; the references are 400 000
+    # steps of power iteration on the subdivided bond map, summed in float64
+    graph = qg.compose_series(qg.parse_series_shorthand(source))
+    system, h, rows = _reduce(graph)
+    assert system.bond_count == bonds and h.shape == (k, k)
+    assert len(qg.extract_rational_amplitude(graph).den) == k + 1
+    stats = qg.walk_stats_exact(graph)
+    assert abs(stats.hitting_time - exact_h) < 1e-9
+    assert abs(stats.p_out - exact_p_out) < 1e-12
+
+
 @pytest.mark.parametrize("source", ["c3", "c5-c6"])
 def test_exact_route_remainder_bound_holds(source, monkeypatch):
     # stopping the squarings early leaves a remainder; whatever the bound
