@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import QuantumGraph, atomic_write_text
+from .graphs import QuantumGraph, _physical_memory, atomic_write_text
 from .solver import _repair, _sweep_amplitudes, solve_many
 
 DEFAULT_BAND_FLOOR = 0.01
@@ -34,7 +34,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True, eq=False)
 class Sweep:
-    """Uniform-grid transmission data with the graph it came from."""
+    """Uniform-grid transmission data with the graph it came from.
+
+    ``kl``, ``t`` and ``r`` are kept as read-only views of the arrays
+    given, not copies: the caller's arrays stay writeable, and writing to
+    them changes the sweep.
+    """
 
     graph: QuantumGraph
     kl: np.ndarray
@@ -48,8 +53,9 @@ class Sweep:
         for name, arr in (("kl", kl), ("t", np.asarray(self.t)), ("r", np.asarray(self.r))):
             if arr.shape != kl.shape:
                 raise ValueError(f"sweep {name} has shape {arr.shape}, the grid {kl.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def resolution(self) -> float:
@@ -79,6 +85,19 @@ class PeakReport:
         return self.height >= FULL_TRANSMISSION_HEIGHT
 
 
+def _check_grid_memory(points, memory: float, count: str, kl_min, kl_max) -> None:
+    """Refuse a grid of ``points`` whose t alone, 16 bytes a point, exceeds ``memory`` bytes.
+
+    ``points`` may be a float (inf and nan are refused) or an int of any
+    size, so the check runs before int() or any allocation; ``count``
+    opens the message.
+    """
+    if not points <= memory / 16:
+        raise ValueError(
+            f"{count} grid points on [{kl_min}, {kl_max}], more than physical memory holds"
+        )
+
+
 def sweep_transmission(
     graph: QuantumGraph,
     kl_min: float,
@@ -93,12 +112,15 @@ def sweep_transmission(
     solver.  On either route, on-shell singular points get the solver's
     two-sided limit policy.  A solver-route grid of several batches is
     solved on the usable cores (see ``solve_many``); the output does not
-    depend on the core count.
+    depend on the core count.  A grid whose t alone, 16 bytes a point,
+    would not fit in physical memory raises ValueError before any
+    allocation.
     """
     if not (0 < kl_min < kl_max < math.inf):
         raise ValueError(f"need 0 < kl_min < kl_max < inf, got {kl_min!r}, {kl_max!r}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
+    _check_grid_memory(samples, _physical_memory(), f"samples: {samples}", kl_min, kl_max)
     grid = np.linspace(kl_min, kl_max, int(samples))
     t, r = _sweep_amplitudes(graph, grid)
     t2max = float(np.max(np.abs(t) ** 2))

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    _check_grid_memory,
     detect_peaks,
     hitting_to_text,
     peaks_to_csv,
@@ -142,12 +143,9 @@ def cmd_peaks(args) -> str:
             f"--kl-min/--kl-max: need 0 < min < max < inf, got {args.kl_min}, {args.kl_max}"
         )
     steps = (args.kl_max - args.kl_min) / args.resolution
-    # Checked as a float, before int() or the sweep: t alone takes 16 bytes a point.
-    if not (np.isfinite(steps) and 16.0 * (steps + 1) <= _physical_memory()):
-        raise ValueError(
-            f"--resolution: {args.resolution} gives {steps + 1:.3g} grid points on "
-            f"[{args.kl_min}, {args.kl_max}], more than physical memory holds"
-        )
+    _check_grid_memory(steps + 1, _physical_memory(),
+                       f"--resolution: {args.resolution} gives {steps + 1:.3g}",
+                       args.kl_min, args.kl_max)
     samples = int(round(steps)) + 1
     if samples < 2:
         raise ValueError(

@@ -38,6 +38,16 @@ def test_sweep_stores_its_float_grid_and_derives_the_resolution():
             analysis.Sweep(graph=graph, kl=[1.0, 2.0, 3.0], t=t, r=r)
 
 
+def test_sweep_keeps_read_only_views_and_leaves_the_callers_arrays_writeable():
+    kl, t, r = np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=complex), np.ones(3, dtype=complex)
+    sweep = analysis.Sweep(graph=qg.make_cycle_graph(3), kl=kl, t=t, r=r)
+    for given, kept in ((kl, sweep.kl), (t, sweep.t), (r, sweep.r)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert kept is not given and np.shares_memory(kept, given)  # a view, not a copy
+    t[0] = 0.5
+    assert sweep.t[0] == 0.5
+
+
 def test_sweep_rejects_bad_ranges():
     graph = qg.make_cycle_graph(3)
     with pytest.raises(ValueError):

@@ -288,6 +288,27 @@ def test_peaks_grid_bound_is_sixteen_bytes_a_point(monkeypatch, capsys):
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("samples", ["100000000000000000", "1" + "0" * 30])
+def test_sweep_grid_past_memory_names_the_flag(samples, capsys):
+    # refused before any allocation: numpy would ask for 711 PiB, or
+    # refuse an array that large without naming the flag
+    assert main(["sweep", "--graph", "c3", "--kl-min", "0.1", "--kl-max", "1",
+                 "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qgraph: error: samples: {samples} grid points on [0.1, 1.0], "
+                            "more than physical memory holds\n")
+
+
+def test_sweep_grid_bound_is_sixteen_bytes_a_point(monkeypatch):
+    graph = qg.make_cycle_graph(3)
+    monkeypatch.setattr("qgraph.analysis._physical_memory", lambda: 47.0)
+    with pytest.raises(ValueError, match="samples: 3 grid points on"):
+        qg.sweep_transmission(graph, 1.0, 2.0, 3)
+    monkeypatch.setattr("qgraph.analysis._physical_memory", lambda: 48.0)
+    assert qg.sweep_transmission(graph, 1.0, 2.0, 3).kl.shape == (3,)
+
+
 @pytest.mark.parametrize("argv", [
     ["nosuch"],
     ["transmit", "--kl", "1"],

@@ -15,9 +15,10 @@ with it.
 
 Random small graphs also check the bond-system layout against a reference
 that places each vertex's matrix one entry at a time, and, with integer
-lengths, both channels' extracted forms against the solver.  Written to
-files and run with drawn flags, they hold every subcommand to the exit-code
-contract of the command line.
+lengths, both channels' extracted forms against the solver, and the
+blocked Horner pass of rational-route sweeps, bit for bit, against
+whole-grid polyval.  Written to files and run with drawn flags, they hold
+every subcommand to the exit-code contract of the command line.
 """
 
 import contextlib
@@ -30,7 +31,8 @@ import numpy as np
 import pytest
 
 import qgraph as qg
-from qgraph.cli import main
+from qgraph.cli import main, resolve_graph
+from qgraph.solver import _HORNER_BLOCK
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -172,6 +174,63 @@ def test_extracted_forms_match_solver_on_custom_vertices(graph, seed):
         form = np.polynomial.polynomial.polyval(z, amp.num) / den
         tol = 1e-10 + 1e-13 * np.sum(np.abs(amp.den)) / np.abs(den)
         assert np.all(np.abs(form - solved[regular]) < tol)
+
+
+def _polyval_sweep(t_amp, r_amp, grid):
+    # reference for the blocked pass: three polyval calls over the whole
+    # grid, the divisions, the Horner rounding bound and the singular-solve
+    # mask, each on whole-grid arrays
+    from qgraph.solver import HORNER_TOL, _singular
+
+    polyval = np.polynomial.polynomial.polyval
+    z = np.exp(1j * grid)
+    den = polyval(z, t_amp.den)
+    t, r = polyval(z, t_amp.num) / den, polyval(z, r_amp.num) / den
+    n = max(len(t_amp.num), len(r_amp.num), len(t_amp.den))
+    scale = 2.0 * n * np.finfo(float).eps / np.abs(den)
+    bad = _singular(grid, t, r)
+    for amp, value in ((t_amp, t), (r_amp, r)):
+        bound = scale * (np.abs(amp.num).sum() + np.abs(value) * np.abs(amp.den).sum())
+        bad |= ~(bound <= HORNER_TOL)
+    return t, r, bad
+
+
+def _assert_blocked_sweep_is_the_polyval_sweep(graph, grid):
+    from qgraph.solver import _extract_channels, _horner_sweep
+
+    forms = _extract_channels(graph)
+    t, r, bad = _horner_sweep(*forms, grid)
+    t_ref, r_ref, bad_ref = _polyval_sweep(*forms, grid)
+    assert np.array_equal(t, t_ref, equal_nan=True)
+    assert np.array_equal(r, r_ref, equal_nan=True)
+    assert np.array_equal(bad, bad_ref)
+    return bad
+
+
+@pytest.mark.parametrize("text", ["c3-c4-c3", "c99", "c3-c3-c3-c3-c3-c3"])
+def test_blocked_horner_sweep_is_bit_identical_to_polyval(text):
+    # grids of one point past, at and short of one and two blocks, and the
+    # peaks command's 62 633-point grid; six chained triangles re-solve
+    # thousands of its points, so the mask is held to the bit as well
+    graph, B = resolve_graph(text), _HORNER_BLOCK
+    for samples in (2, B - 1, B, B + 1, 2 * B + 1, 62633):
+        bad = _assert_blocked_sweep_is_the_polyval_sweep(
+            graph, np.linspace(0.01, 2.0 * np.pi - 0.01, samples))
+    if text == "c3-c3-c3-c3-c3-c3":
+        assert bad.sum() > 1000
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graph=small_graphs().map(lambda g: qg.scale_lengths(g, 4.0)),
+                  samples=st.one_of(st.integers(2, 40),
+                                    st.integers(-2, 2).map(lambda d: _HORNER_BLOCK + d),
+                                    st.integers(-2, 2).map(lambda d: 2 * _HORNER_BLOCK + d)),
+                  span=st.tuples(st.floats(0.01, 3.0), st.floats(3.5, 40.0)))
+def test_blocked_horner_sweep_is_bit_identical_on_custom_vertices(graph, samples, span):
+    # complex coefficients from custom vertices, numerators both longer and
+    # shorter than the denominator, on grids shorter than a block or within
+    # two points of one or two blocks
+    _assert_blocked_sweep_is_the_polyval_sweep(graph, np.linspace(*span, samples))
 
 
 @st.composite
