@@ -17,6 +17,7 @@ as one point at a time.  Every stdout format of the command line
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,8 @@ class Sweep:
 
     ``kl``, ``t`` and ``r`` are kept as read-only views of the arrays
     given, not copies: the caller's arrays stay writeable, and writing to
-    them changes the sweep.
+    them changes the sweep, except ``t2``, which is computed from ``t`` on
+    first use and kept.
     """
 
     graph: QuantumGraph
@@ -62,9 +64,12 @@ class Sweep:
         """The grid step, kl[1] - kl[0]."""
         return float(self.kl[1] - self.kl[0])
 
-    @property
+    @functools.cached_property
     def t2(self) -> np.ndarray:
-        return np.abs(self.t) ** 2
+        """|t|^2 on the grid, computed once and read-only."""
+        t2 = np.abs(self.t) ** 2
+        t2.setflags(write=False)
+        return t2
 
     @property
     def r2(self) -> np.ndarray:
@@ -122,13 +127,13 @@ def sweep_transmission(
         raise ValueError(f"samples must be >= 2, got {samples!r}")
     _check_grid_memory(samples, _physical_memory(), f"samples: {samples}", kl_min, kl_max)
     grid = np.linspace(kl_min, kl_max, int(samples))
-    t, r = _sweep_amplitudes(graph, grid)
-    t2max = float(np.max(np.abs(t) ** 2))
+    sweep = Sweep(graph, grid, *_sweep_amplitudes(graph, grid))
+    t2max = float(np.max(sweep.t2))
     if not np.isfinite(t2max) or t2max > 1.0 + 1e-9:
         raise ArithmeticError(
             f"sweep produced |T|^2 up to {t2max}; singularities were not resolved"
         )
-    return Sweep(graph=graph, kl=grid, t=t, r=r)
+    return sweep
 
 
 def check_reflection_symmetry(sweep: Sweep) -> float:

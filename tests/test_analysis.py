@@ -48,6 +48,13 @@ def test_sweep_keeps_read_only_views_and_leaves_the_callers_arrays_writeable():
     assert sweep.t[0] == 0.5
 
 
+def test_sweep_computes_t2_once_and_read_only():
+    sweep = qg.sweep_transmission(qg.make_cycle_graph(3), 0.5, 1.5, 101)
+    assert sweep.t2 is sweep.t2
+    assert not sweep.t2.flags.writeable
+    assert np.array_equal(sweep.t2, np.abs(sweep.t) ** 2)
+
+
 def test_sweep_rejects_bad_ranges():
     graph = qg.make_cycle_graph(3)
     with pytest.raises(ValueError):

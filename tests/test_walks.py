@@ -319,7 +319,7 @@ def test_quadrature_folds_forms_longer_than_its_nodes(shift):
 
 
 def test_quadrature_memory_stays_bounded():
-    # c31 needs 2^19 nodes; evaluated in chunks of 2^14 they stay small
+    # c31 needs 2^19 nodes; evaluated in chunks of QUADRATURE_CHUNK they stay small
     import tracemalloc
 
     amp = qg.extract_rational_amplitude(qg.make_cycle_graph(31))
@@ -330,6 +330,80 @@ def test_quadrature_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_quadrature_chunks_stay_under_one_mebibyte():
+    # 2^10-node chunks: four 64 KiB arrays at a time, reused from the heap
+    import tracemalloc
+
+    amp = qg.extract_rational_amplitude(qg.make_cycle_graph(31))
+    tracemalloc.start()
+    try:
+        qg.walk_stats_by_quadrature(amp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _quadrature_levels(amp, monkeypatch):
+    """walk_stats_by_quadrature's stats and its (n, shift) calls to _circle_means."""
+    import qgraph.walks as walks_mod
+
+    calls = []
+    real = walks_mod._circle_means
+    monkeypatch.setattr(walks_mod, "_circle_means",
+                        lambda polys, n, shift: calls.append((n, shift)) or real(polys, n, shift))
+    return qg.walk_stats_by_quadrature(amp), calls
+
+
+@pytest.mark.parametrize("source", ["c31", "c4-c4", "c3-c4-c3"])
+def test_quadrature_chunking_is_invisible(source, monkeypatch):
+    # the chunk size only groups the nodes into FFTs: the doublings and the
+    # sums they settle on do not depend on it
+    import qgraph.walks as walks_mod
+
+    amp = qg.extract_rational_amplitude(qg.compose_series(qg.parse_series_shorthand(source)))
+    runs = []
+    for chunk in (1 << 9, 1 << 10, 1 << 12, 1 << 14):
+        with monkeypatch.context() as patch:
+            patch.setattr(walks_mod, "QUADRATURE_CHUNK", chunk)
+            runs.append(_quadrature_levels(amp, patch))
+    ref, ref_calls = runs[0]
+    ref_moment = ref.hitting_time * ref.p_out
+    for stats, calls in runs[1:]:
+        assert calls == ref_calls
+        assert abs(stats.p_out - ref.p_out) <= 1e-13 * ref.p_out
+        assert abs(stats.hitting_time * stats.p_out - ref_moment) <= 1e-13 * ref_moment
+
+
+def test_quadrature_chunks_cover_long_forms(monkeypatch):
+    # a form longer than QUADRATURE_CHUNK gets chunks at least as long as
+    # itself (or one chunk of all n nodes), so its twist and fold per chunk
+    # never outgrow the FFT
+    import qgraph.walks as walks_mod
+
+    c31 = qg.extract_rational_amplitude(qg.make_cycle_graph(31))
+    amp = qg.RationalAmplitude(np.concatenate([np.zeros(3000), c31.num]), c31.den)
+    chunks = []
+    real_means, real_nodes = walks_mod._circle_means, walks_mod._on_rotated_nodes
+
+    def means(polys, n, shift):
+        chunks.append([n])
+        return real_means(polys, n, shift)
+
+    def nodes(polys, m, phase):
+        chunks[-1].append(m)
+        return real_nodes(polys, m, phase)
+
+    monkeypatch.setattr(walks_mod, "_circle_means", means)
+    monkeypatch.setattr(walks_mod, "_on_rotated_nodes", nodes)
+    qg.walk_stats_by_quadrature(amp)
+    assert len(amp.num) > walks_mod.QUADRATURE_CHUNK
+    for n, *ms in chunks:
+        assert len(ms) == n // ms[0]
+        assert all(m >= len(amp.num) or m == n for m in ms)
+    assert any(m < n for n, *ms in chunks for m in ms)
 
 
 @pytest.mark.parametrize("source", ["c3", "c31"])
