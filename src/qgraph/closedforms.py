@@ -36,6 +36,8 @@ class RationalAmplitude:
     """Polynomial ratio num(z)/den(z), coefficients in ascending powers.
 
     The form must be in lowest terms: no root of den may be a root of num.
+    Coefficients are stored as float64 when every imaginary part is 0.0
+    (every NK form), and as complex128 otherwise.
     """
 
     num: np.ndarray
@@ -44,6 +46,8 @@ class RationalAmplitude:
     def __post_init__(self):
         num = np.atleast_1d(np.asarray(self.num, dtype=complex))
         den = np.atleast_1d(np.asarray(self.den, dtype=complex))
+        if not (num.imag.any() or den.imag.any()):
+            num, den = num.real.copy(), den.real.copy()
         if den[0] == 0:
             raise ValueError("denominator constant term must be nonzero")
         num.setflags(write=False)

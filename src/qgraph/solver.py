@@ -69,7 +69,8 @@ class BondSystem:
     into bond b2 leaving it; ``lengths`` holds per-bond phase exponents.
     ``inj`` injects the unit entrance wave, ``out_t``/``out_r`` read out the
     exit and entrance lead channels, and the ``direct_*`` terms cover
-    lead-to-lead scattering at a shared vertex.
+    lead-to-lead scattering at a shared vertex.  All are real (float64)
+    when every vertex matrix is, as on NK graphs, and complex otherwise.
     """
 
     smatrix: np.ndarray
@@ -77,8 +78,8 @@ class BondSystem:
     inj: np.ndarray
     out_t: np.ndarray
     out_r: np.ndarray
-    direct_t: complex
-    direct_r: complex
+    direct_t: complex | float
+    direct_r: complex | float
 
     @property
     def bond_count(self) -> int:
@@ -147,27 +148,32 @@ def assemble_bond_system(graph: QuantumGraph) -> BondSystem:
             classes[key] = (graph.vertex_matrix(vid), [])
         classes[key][1].append(emitted)
 
+    # Real vertex matrices (every NK vertex) give a real system, and its
+    # dtype keeps the reduction, the forms and the walks in real arithmetic.
+    real = not any(m.imag.any() for m, _ in classes.values())
+    dtype, entries = (float, np.real) if real else (complex, np.asarray)
+
     nbonds = 2 * len(graph.edges)
-    smatrix = np.zeros((nbonds, nbonds), dtype=complex)
+    smatrix = np.zeros((nbonds, nbonds), dtype=dtype)
     for (_, k), (m, emitted) in classes.items():
         if k:
             rows = np.array(emitted)
-            smatrix[rows[:, :, None], rows[:, None, :] ^ 1] = m[:k, :k]
+            smatrix[rows[:, :, None], rows[:, None, :] ^ 1] = entries(m[:k, :k])
 
     # A lead's column feeds the bonds leaving its vertex; its row reads out
     # the bonds arriving there.
-    inj = np.zeros(nbonds, dtype=complex)
-    out_t = np.zeros(nbonds, dtype=complex)
-    out_r = np.zeros(nbonds, dtype=complex)
+    inj = np.zeros(nbonds, dtype=dtype)
+    out_t = np.zeros(nbonds, dtype=dtype)
+    out_r = np.zeros(nbonds, dtype=dtype)
     v_in, v_out = graph.leads
     shared = v_in == v_out
-    m, emitted = graph.vertex_matrix(v_in), np.array(emits[v_in], dtype=int)
+    m, emitted = entries(graph.vertex_matrix(v_in)), np.array(emits[v_in], dtype=int)
     k = len(emitted)
     inj[emitted] = m[:k, k]
     out_r[emitted ^ 1] = m[k, :k]
-    direct_r = complex(m[k, k])
-    direct_t = complex(m[k + 1, k]) if shared else 0.0
-    m, emitted = graph.vertex_matrix(v_out), np.array(emits[v_out], dtype=int)
+    direct_r = m[k, k].item()
+    direct_t = m[k + 1, k].item() if shared else 0.0
+    m, emitted = entries(graph.vertex_matrix(v_out)), np.array(emits[v_out], dtype=int)
     k = len(emitted)
     out_t[emitted ^ 1] = m[k + shared, :k]
 
@@ -381,10 +387,11 @@ def _hessenberg(smat: np.ndarray, inj: np.ndarray, outs: np.ndarray):
     step j zeroes column j below row j, by a reflector applied from the left
     to the k state rows and from the right to the columns of smat and outs,
     so it is a similarity that carries the readout rows along.  Column 0 is
-    inj, column j > 0 is column j - 1 of H, and Q is never formed.
+    inj, column j > 0 is column j - 1 of H, and Q is never formed.  The
+    reflector's sign x_0/|x_0| is +-1 on real input, which stays real.
     """
     k = len(inj)
-    g = np.block([[inj[:, None], smat], [np.zeros((len(outs), 1)), outs]]).astype(complex)
+    g = np.block([[inj[:, None], smat], [np.zeros((len(outs), 1)), outs]])
     for j in range(k - 1):
         x = g[j:k, j]
         norm = np.linalg.norm(x)
@@ -438,7 +445,7 @@ def _extract_channels(graph: QuantumGraph) -> tuple:
     system, h, rows = _reduce(graph)
     k = h.shape[0]
     sub = np.diagonal(h, -1)
-    minors = np.zeros((k + 1, k + 1), dtype=complex)
+    minors = np.zeros((k + 1, k + 1), dtype=h.dtype)
     minors[k, k] = 1.0
     for j in range(k - 1, -1, -1):
         weights = h[j, j:] * np.cumprod(np.r_[1.0, sub[j:]])
@@ -476,16 +483,23 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
 # a factor 2 for nb, k from 6 to 398 on a 2-core x86-64 machine (numpy 2.4,
 # single-threaded OpenBLAS, solve_many's batches spread over both cores): a
 # dense solve takes 1.3 + 0.025 nb^2 + 5.6e-6 nb^3 per point, and an
-# extraction 430 + 88 k + 0.023 k^3, almost all of it the reduction.
+# extraction 190 + 38 k + 0.0034 k^3 on a real bond map, almost all of it
+# the reduction.  A complex bond map keeps the earlier 430 + 88 k +
+# 0.023 k^3, so its sweeps take the routes they took before real maps got
+# their own arithmetic; it measured 0.41-0.53 of that on this machine,
+# where 190 + 38 k + 0.0105 k^3 fits within 0.88-1.22.
 # ---------------------------------------------------------------------------
 
 
-def _rational_pays(points: int, nb: int, k: int) -> bool:
+def _rational_pays(points: int, nb: int, k: int, real: bool) -> bool:
     """Whether extracting order-k forms costs less than points dense nb x nb solves."""
     # Past k = 10^100 extraction never pays; the clamp keeps k^3 a finite float.
     k = min(k, 10**100)
     solve_us = 1.3 + 0.025 * nb**2 + 5.6e-6 * nb**3
-    extract_us = 430.0 + 88.0 * k + 0.023 * k**3
+    if real:
+        extract_us = 190.0 + 38.0 * k + 0.0034 * k**3
+    else:
+        extract_us = 430.0 + 88.0 * k + 0.023 * k**3
     return points * solve_us >= extract_us
 
 
@@ -548,7 +562,7 @@ def _sweep_amplitudes(graph: QuantumGraph, grid: np.ndarray):
     # shift the phases of a length that is integral only to a tolerance.
     if all(float(e.length).is_integer() for e in graph.edges):
         k = 2 * sum(int(e.length) for e in graph.edges)
-        if _rational_pays(len(grid), system.bond_count, k):
+        if _rational_pays(len(grid), system.bond_count, k, not np.iscomplexobj(system.smatrix)):
             _check_phase(grid, system.lengths)
             t, r, bad = _horner_sweep(*_extract_channels(graph), grid)
             if bad.any():

@@ -37,10 +37,14 @@ ORDER_CAP = 32768
 # GRAMIAN_STOP, and refuses after GRAMIAN_SQUARINGS squarings.
 GRAMIAN_STOP = 1e-17
 GRAMIAN_SQUARINGS = 64
-# walk_stats_exact charges rounding _GRAMIAN_ROUNDING * eps * ||V||_F / p_out
-# on h.  A rounding-level change of H (Arnoldi instead of Householder) moves
-# h by up to 11.6 times eps ||V||_F / p_out (c99-c99); that estimate is at most
-# 4.2e-10 on c3..c99 and every chain of 2-4 cycles of sizes 3-6 (c5-c5-c6-c6).
+# walk_stats_exact charges rounding _GRAMIAN_ROUNDING units on h, a unit
+# being eps (||V||_F + (h - 1) ||W||_F) / p_out.  A rounding-level change of
+# H (Arnoldi instead of Householder) moves h by up to 11.6 units (c99-c99).
+# On c3..c99 and every chain of 2-4 cycles of sizes 3-6, a unit is at most
+# 4.2e-10 (c5-c5-c6-c6), and against extended-precision power iteration h
+# is off by up to 23.8 units in real arithmetic (c3-c6-c5) and 27.4 in
+# complex (c4-c3-c6-c4, the same bond map typed complex); the two differ by
+# up to 30.2 units, there.  The charge is an estimate, not a bound.
 _GRAMIAN_ROUNDING = 16.0
 
 # The circle quadrature stops doubling its node count at
@@ -50,8 +54,10 @@ _GRAMIAN_ROUNDING = 16.0
 # under glibc's 128 KiB mmap threshold, so they are reused from the heap
 # instead of mapped and unmapped (and page-faulted) on every chunk, and they
 # stay in L2.  A longer form gets chunks at least as long as itself, so the
-# O(L) twist and fold per chunk never outgrows its FFT.  c31's 2^19 nodes take
-# a 0.23 MiB traced peak and, on a shared 2-core Xeon, about 30 ms.
+# O(L) twist and fold per chunk never outgrows its FFT.  A real form skips
+# the conjugate of each chunk.  c31's 2^19 nodes take a 0.23 MiB traced peak
+# and, on a shared 2-core Xeon, about 20 ms, 5 of them the rounding floors
+# (30 ms, without floors, evaluating every chunk).
 QUADRATURE_MAX_NODES = 1 << 19
 QUADRATURE_CHUNK = 1 << 10
 
@@ -120,12 +126,13 @@ def _recurrence(num: np.ndarray, den: np.ndarray, order: int, head=()) -> np.nda
     An earlier expansion ``head`` is extended: its coefficients are copied.
     The coefficients are stored reversed behind deg den zeros, rc[order - m]
     = c_m, so that c_{m-1}, ..., c_{m-deg den} (zero before c_0) are the one
-    forward slice that each step dots with den_1, ..., den_{deg den}.
+    forward slice that each step dots with den_1, ..., den_{deg den}.  They
+    are real when num, den and head are.
     """
     degree = len(den) - 1
     d0, tail = den[0], den[1:]
     nums = np.asarray(num).tolist()
-    rc = np.zeros(order + 1 + degree, dtype=complex)
+    rc = np.zeros(order + 1 + degree, dtype=np.result_type(num, den, np.asarray(head)))
     rc[order + 1 - len(head):order + 1] = head[::-1]
     for m in range(len(head), order + 1):
         s = order - m
@@ -207,7 +214,7 @@ def coefficients_via_power_iteration(graph: QuantumGraph, max_order: int) -> Wal
     if max_order < 0:
         raise ValueError("max_order must be non-negative")
     system = assemble_bond_system(subdivide_integral(graph))
-    c = np.zeros(max_order + 1, dtype=complex)
+    c = np.zeros(max_order + 1, dtype=system.smatrix.dtype)
     c[0] = system.direct_t
     if max_order >= 1:
         a = system.inj.copy()
@@ -240,9 +247,9 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
         raise TruncationError(f"a form of this degree needs order {order} > {ORDER_CAP}")
     c = ()
     while True:
+        c = _recurrence(amp.num, amp.den, order, c)
         # WalkSeries refuses a total weight above 1, checked on every round.
-        c = WalkSeries(coefficients=_recurrence(amp.num, amp.den, order, c),
-                       order=order).coefficients
+        WalkSeries(coefficients=c, order=order)
         p = np.abs(c) ** 2
         # order >= len(num) + deg den, so no weight now means none later.
         stats = _walk_stats(float(p[1:].sum()),
@@ -269,14 +276,15 @@ def _gramian_stats(h: np.ndarray, row: np.ndarray, tolerance: float) -> WalkStat
     x = A e_1: unitary vertices make the transmission Gramian at most I,
     so the p_out remainder is at most ||x||^2, and the first-moment
     remainder x^H ((N + 1) W_inf + V_inf) x is bounded through ||V|| and N.
-    Rounding in the sums adds an estimate, _GRAMIAN_ROUNDING eps ||V||_F /
-    p_out, to the hitting-time error, so a mode close enough to the unit
-    circle to make V large is refused rather than certified.
+    Rounding in the sums adds an estimate, _GRAMIAN_ROUNDING eps (||V||_F +
+    (h - 1) ||W||_F) / p_out, to the hitting-time error, so a mode close
+    enough to the unit circle to make V large is refused rather than
+    certified.
     """
     k = h.shape[0]
     a = h
     w = np.outer(row.conj(), row)
-    v = np.zeros((k, k), dtype=complex)
+    v = np.zeros_like(w)
     n = 1
     squarings = 0
     while (a_norm2 := float(np.linalg.norm(a) ** 2)) >= GRAMIAN_STOP:
@@ -297,9 +305,11 @@ def _gramian_stats(h: np.ndarray, row: np.ndarray, tolerance: float) -> WalkStat
     v_norm = float(np.linalg.norm(v))
     v_inf = (v_norm + n * a_norm2) / (1.0 - a_norm2)
     # p_out is off by at most |x|^2 and the first moment by |x|^2 (N + 1 + |V_inf|),
-    # plus the rounding of the sums.
+    # plus the rounding of the sums: h = 1 + V_00 / W_00 moves by
+    # (dV_00 - (h - 1) dW_00) / p_out.
     x2 = float(np.linalg.norm(a[:, 0]) ** 2)
-    rounding = _GRAMIAN_ROUNDING * np.finfo(float).eps * v_norm
+    rounding = _GRAMIAN_ROUNDING * np.finfo(float).eps * (
+        v_norm + (stats.hitting_time - 1.0) * float(np.linalg.norm(w)))
     err = (x2 * (n + 1 + v_inf + stats.hitting_time) + rounding) / stats.p_out
     if not err < tolerance:
         raise TruncationError(
@@ -343,22 +353,56 @@ def _on_rotated_nodes(polys, m: int, phase: float) -> np.ndarray:
 
 
 def _circle_means(polys, n: int, shift: int) -> np.ndarray:
-    """Means of |T|^2 and Re[conj(T) z T'] over z_j = e^{i pi (2j + shift)/n}, j < n.
+    """Means of |T|^2 and Re[conj(T) z T'], and their rounding floors.
 
-    ``polys`` holds num, den, z num' and z den'.  The nodes are evaluated
+    The means run over z_j = e^{i pi (2j + shift)/n}, j < n, and ``polys``
+    holds num, den, z num' and z den'.  The nodes are evaluated
     in chunks of m = min(n, max(QUADRATURE_CHUNK, 2^ceil(log2 L))), L the
     longest row's length: those with j = r (mod n/m) are the m-th roots of
-    unity rotated by e^{i pi (2r + shift)/n}.
+    unity rotated by e^{i pi (2r + shift)/n}.  The conjugate of node j is
+    node -j - shift (mod n), so chunk r's conjugates form chunk
+    (-r - shift) mod (n/m).  Real rows give T(conj z) = conj T(z), and both
+    integrands take equal values there: one chunk of each such pair is
+    evaluated and counted twice.
+
+    The last two entries are rounding floors, the means of first-order
+    bounds on each integrand's rounding.  A row p is evaluated within
+    2 L eps sum |p_k| on |z| = 1 (Horner's bound, which the FFT meets), so
+    T errs by dT = 2 L eps (sum |num_k| + |T| sum |den_k|) / |den|,
+    z T' = (z num' - T z den') / den by dZ =
+    (2 L eps (sum |k num_k| + |T| sum |k den_k| + |z T'| sum |den_k|)
+    + |z den'| dT) / |den|, |T|^2 by 2 |T| dT and Re[conj(T) z T'] by
+    |z T'| dT + |T| dZ.
     """
     longest = max(len(c) for c in polys)
     m = min(n, max(QUADRATURE_CHUNK, 1 << (longest - 1).bit_length()))
-    sums = np.zeros(2)
-    for r in range(n // m):
+    chunks = n // m
+    real = not any(np.iscomplexobj(c) for c in polys)
+    e_num, e_den, e_znum, e_zden = (2.0 * longest * np.finfo(float).eps * np.abs(c).sum()
+                                    for c in polys)
+    sums = np.zeros(4)
+    for r in range(chunks):
+        pair = (-r - shift) % chunks if real else r
+        if pair < r:
+            continue
         nv, dv, znv, zdv = _on_rotated_nodes(polys, m, np.pi * (2 * r + shift) / n)
-        t = nv / dv
+        inv = 1.0 / dv
+        t = nv * inv
         # z T' = (z num' - T z den') / den
-        zdt = (znv - t * zdv) / dv
-        sums += np.vdot(t, t).real, np.vdot(t, zdt).real
+        zdt = (znv - t * zdv) * inv
+        # The bounds above, summed over the chunk as dot products of
+        # u = 1/|den|, a = |T|, b = |z T'| and g = |z den'|.
+        u, a, b = np.abs(inv), np.abs(t), np.abs(zdt)
+        au, gu = a * u, np.abs(zdv) * u
+        a2u = a * au
+        s1, s2 = au.sum(), a2u.sum()
+        chunk = np.array([
+            np.vdot(t, t).real, np.vdot(t, zdt).real,
+            2.0 * (e_num * s1 + e_den * s2),
+            e_num * (b @ u + au @ gu) + e_den * (2.0 * (b @ au) + a2u @ gu)
+            + e_znum * s1 + e_zden * s2,
+        ])
+        sums += chunk if pair == r else 2.0 * chunk
     return sums / n
 
 
@@ -373,7 +417,8 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     on the n-th roots of unity, T_n, refines to T_2n = (T_n + M_n)/2, with
     M_n the mean over the n midpoints e^{i pi (2j + 1)/n}, so each doubling
     evaluates only new nodes.  n doubles from 512 until both means settle
-    to 1e-12 relative, up to 2^19.  As on the series route, p_out counts
+    to 1e-12 relative or to their rounding floor (see _circle_means),
+    whichever is larger, up to 2^19.  As on the series route, p_out counts
     steps m >= 1: the zero-step weight |c_0|^2 is taken off the mean, and a
     form with nothing left raises ValueError.  P(m) is not resolved by this
     route, so p_of_m comes back empty.
@@ -389,11 +434,12 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
             raise ArithmeticError("circle quadrature did not converge")
         refined = 0.5 * (rule + _circle_means(polys, n, 1))
         n *= 2
-        d0, d1 = np.abs(refined - rule)
-        p_out, moment = float(refined[0]), float(refined[1])
-        if d0 < 1e-12 * max(p_out, 1e-3) and d1 < 1e-12 * max(abs(moment), 1e-3):
+        means, floors = refined[:2], refined[2:]
+        settle = np.maximum(1e-12 * np.maximum(np.abs(means), 1e-3), floors)
+        if np.all(np.abs(means - rule[:2]) < settle):
             break
         rule = refined
+    p_out, moment = float(means[0]), float(means[1])
 
     if not (0.0 < p_out <= 1.0 + 1e-9):
         raise ValueError(

@@ -438,6 +438,15 @@ def test_hitting_refuses_without_a_check_route(capsys):
     assert err == "qgraph: numerical failure: circle quadrature did not converge\n"
 
 
+def test_hitting_refuses_a_quadrature_settled_only_to_its_floor(capsys):
+    # c3x6's quadrature settles to its rounding floor (about 5e-7 on p_out),
+    # and the route check, not the quadrature, refuses the result
+    code, out, err = run(capsys, "hitting", "--graph", "-".join(["c3"] * 6))
+    assert code == 2 and out == ""
+    assert err.startswith("qgraph: numerical failure: h = ")
+    assert "h_quadrature" in err and "differ by more than 1.0e-08" in err
+
+
 @pytest.mark.parametrize("field, tolerance", [("hitting_time", None), ("p_out", "1e-3")])
 def test_hitting_refuses_routes_that_disagree(field, tolerance, monkeypatch, capsys):
     # a planted quadrature value past max(tolerance, 1e-8) prints nothing

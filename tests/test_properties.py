@@ -19,9 +19,14 @@ lengths, both channels' extracted forms against the solver, and the
 blocked Horner pass of rational-route sweeps, bit for bit, against
 whole-grid polyval.  Written to files and run with drawn flags, they hold
 every subcommand to the exit-code contract of the command line.
+
+The exact route's rounding charge is held against an extended-precision
+power iteration on one chain, and against the same sums done in complex
+arithmetic on gauge-transformed copies of drawn NK graphs.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import tempfile
@@ -32,7 +37,9 @@ import pytest
 
 import qgraph as qg
 from qgraph.cli import main, resolve_graph
-from qgraph.solver import _HORNER_BLOCK
+from qgraph.graphs import subdivide_integral
+from qgraph.solver import _HORNER_BLOCK, _reduce
+from qgraph.walks import _GRAMIAN_ROUNDING, GRAMIAN_STOP
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -282,3 +289,105 @@ def test_cli_contract_on_drawn_graphs_and_flags(command, data):
             assert code in (0, 1, 2)
             runs.append((code, out.getvalue()))
     assert runs[0] == runs[1]
+
+
+def _rounding_unit(graph):
+    """eps (||V||_F + (h - 1) ||W||_F) / p_out, the unit of walk_stats_exact's
+    rounding charge, from the squared Stein iteration of walks._gramian_stats."""
+    _, h, rows = _reduce(graph)
+    a, w, n = h, np.outer(rows[0].conj(), rows[0]), 1
+    v = np.zeros_like(w)
+    while np.linalg.norm(a) ** 2 >= GRAMIAN_STOP:
+        ah = a.conj().T
+        v, w, a, n = v + ah @ (v + n * w) @ a, w + ah @ w @ a, a @ a, 2 * n
+    p_out = w[0, 0].real
+    hitting_time = 1.0 + v[0, 0].real / p_out
+    return np.finfo(float).eps * (np.linalg.norm(v) + (hitting_time - 1.0) * np.linalg.norm(w)) / p_out
+
+
+def _complex_typed_twin(graph):
+    """A new graph of the same structure whose bond system holds the same
+    values as ``graph``'s, typed complex128 as a non-real vertex would make it."""
+    system = qg.assemble_bond_system(graph)
+    twin = qg.QuantumGraph(vertex_ids=graph.vertex_ids, boundary=graph.boundary,
+                           edges=graph.edges, leads=graph.leads)
+    twin._memo[qg.assemble_bond_system.__wrapped__] = dataclasses.replace(
+        system, smatrix=system.smatrix.astype(complex), inj=system.inj.astype(complex),
+        out_t=system.out_t.astype(complex), out_r=system.out_r.astype(complex),
+        direct_t=complex(system.direct_t), direct_r=complex(system.direct_r))
+    return twin
+
+
+nk_graphs = small_graphs().map(lambda g: qg.QuantumGraph(
+    vertex_ids=g.vertex_ids, boundary=(qg.NK,) * len(g.vertex_ids), edges=g.edges, leads=g.leads))
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graph=nk_graphs, seed=st.integers(0, 2**32 - 1))
+def test_real_bond_systems_solve_to_the_bits_of_complex_ones(graph, seed):
+    # the dense solver casts a real bond map to complex before it multiplies
+    # by the phases, so NK graphs solve to the same bits as when their bond
+    # systems were complex; NK matrices passed as custom matrices are real too
+    custom = qg.QuantumGraph(vertex_ids=graph.vertex_ids, edges=graph.edges, leads=graph.leads,
+                             boundary=tuple(graph.vertex_matrix(v) for v in graph.vertex_ids))
+    assert qg.assemble_bond_system(graph).smatrix.dtype == np.float64
+    assert qg.assemble_bond_system(custom).smatrix.dtype == np.float64
+    kl = np.random.default_rng(seed).uniform(0.05, 40.0, size=300)
+    t, r = qg.solve_many(graph, kl)
+    for other in (custom, _complex_typed_twin(graph)):
+        t_other, r_other = qg.solve_many(other, kl)
+        assert np.array_equal(t, t_other, equal_nan=True)
+        assert np.array_equal(r, r_other, equal_nan=True)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is float64 on this platform")
+def test_exact_route_stays_within_its_rounding_charge():
+    # c4-c3-c6-c4 against power iteration of its bond map in extended
+    # precision.  The complex sums were 27.4 units off here, the real ones
+    # 2.8, where a unit is eps (||V||_F + (h - 1) ||W||_F) / p_out and the
+    # charge 16 units.  (Other chains exceed the charge in real arithmetic
+    # too, c3-c6-c5 by 23.8 units; this one pins the complex excess.)
+    # Trapped modes never decay, so the iteration runs until the coupled
+    # modes have: max |eig H| = 1 - delta, and exp(-2 delta M) delta < e^-60.
+    graph = resolve_graph("c4-c3-c6-c4")
+    system = qg.assemble_bond_system(subdivide_integral(graph))
+    s, inj, out = (x.astype(np.longdouble) for x in (system.smatrix, system.inj, system.out_t))
+    delta = 1.0 - np.max(np.abs(np.linalg.eigvals(_reduce(graph)[1])))
+    steps = int((60.0 + np.log(1.0 / delta)) / (2.0 * delta)) + 1
+    # c_m = out S^(m-1) inj in blocks: rows[j] = out S^j, advance by S^block
+    block = 4096
+    rows = np.empty((block, len(out)), dtype=np.longdouble)
+    rows[0] = out
+    for j in range(1, block):
+        rows[j] = rows[j - 1] @ s
+    advance = np.linalg.matrix_power(s, block)
+    a, p_out, moment = inj, np.longdouble(0), np.longdouble(0)
+    m = np.arange(1, block + 1, dtype=np.longdouble)
+    for start in range(0, steps, block):
+        c2 = (rows @ a) ** 2
+        p_out, moment = p_out + c2.sum(), moment + ((m + start) * c2).sum()
+        a = advance @ a
+    error = qg.walk_stats_exact(graph).hitting_time - moment / p_out
+    assert abs(error) <= _GRAMIAN_ROUNDING * _rounding_unit(graph)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graph=nk_graphs.map(lambda g: subdivide_integral(qg.scale_lengths(g, 4.0))))
+def test_exact_route_in_real_and_complex_arithmetic_agrees(graph):
+    # drawn NK graphs (unit bonds after subdivision) are summed in real
+    # arithmetic, their complex-typed twins in complex.  Against power
+    # iteration in extended precision, each route was within 30 units of
+    # the truth on the presets c3..c99 and the 672 chains of 2-4 cycles of
+    # sizes 3-6, beyond the 16-unit charge on 10 (real) and 5 (complex) of
+    # them; so the two are held within 64 units, and here differ by up to
+    # 33.5 (one vertex carrying both leads and three self-loops).
+    twin = _complex_typed_twin(graph)
+    try:
+        real = qg.walk_stats_exact(graph)
+    except (ValueError, ArithmeticError):  # no transmitted weight, or too slow to sum
+        hypothesis.assume(False)
+    complex_ = qg.walk_stats_exact(twin)
+    assert _reduce(graph)[1].dtype == np.float64 and _reduce(twin)[1].dtype == np.complex128
+    unit = _rounding_unit(graph)
+    assert abs(real.hitting_time - complex_.hitting_time) <= 4 * _GRAMIAN_ROUNDING * unit

@@ -178,8 +178,53 @@ def _every_cached_route(graph):
     qg.walk_stats_exact(graph)
     qg.extract_rational_amplitude(graph, "transmission")
     qg.extract_rational_amplitude(graph, "reflection")
-    qg.sweep_transmission(graph, 0.1, 3.0, 600)  # past 251 points: rational route
+    qg.sweep_transmission(graph, 0.1, 3.0, 600)  # past 106 points: rational route
     qg.solve_many(graph, np.linspace(0.1, 3.0, 7))
+
+
+@pytest.mark.parametrize("text", ["c3", "c3-c4-c3", "c3+c3"])
+def test_real_vertices_keep_the_system_and_forms_real(text):
+    # NK presets and compositions: float64 bond arrays, reduction and forms
+    from qgraph.solver import _reduce
+
+    graph = qg.compose_series(qg.parse_series_shorthand(text)) if len(text) > 2 \
+        else qg.make_cycle_graph(3)
+    system = qg.assemble_bond_system(graph)
+    for arr in (system.smatrix, system.inj, system.out_t, system.out_r):
+        assert arr.dtype == np.float64
+    assert type(system.direct_t) is float and type(system.direct_r) is float
+    _, h, rows = _reduce(graph)
+    assert h.dtype == rows.dtype == np.float64
+    for channel in ("transmission", "reflection"):
+        amp = qg.extract_rational_amplitude(graph, channel)
+        assert amp.num.dtype == amp.den.dtype == np.float64
+
+
+def test_a_complex_vertex_keeps_everything_complex():
+    # one degree-2 vertex of c3 that passes the wave with a phase
+    from qgraph.solver import _reduce
+
+    c3 = qg.make_cycle_graph(3)
+    phased = np.exp(0.4j) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    graph = qg.QuantumGraph(vertex_ids=c3.vertex_ids, boundary=(qg.NK, qg.NK, phased),
+                            edges=c3.edges, leads=c3.leads)
+    system = qg.assemble_bond_system(graph)
+    for arr in (system.smatrix, system.inj, system.out_t, system.out_r):
+        assert arr.dtype == np.complex128
+    _, h, rows = _reduce(graph)
+    assert h.dtype == rows.dtype == np.complex128
+    amp = qg.extract_rational_amplitude(graph)
+    assert amp.num.dtype == amp.den.dtype == np.complex128
+    assert np.abs(amp.num.imag).max() > 0.1
+
+
+def test_forms_are_stored_real_exactly_when_every_imaginary_part_is_zero():
+    real = qg.RationalAmplitude(np.array([0.0, 0.5 + 0.0j]), [1.0 + 0.0j, -0.25])
+    assert real.num.dtype == real.den.dtype == np.float64
+    assert real.num.flags.c_contiguous and not real.num.flags.writeable
+    for num, den in (([0.0, 0.5j], [1.0, -0.25]), ([0.0, 0.5], [1.0, -0.25 + 1e-300j])):
+        amp = qg.RationalAmplitude(num, den)
+        assert amp.num.dtype == amp.den.dtype == np.complex128
 
 
 def test_derived_data_is_freed_with_its_graph():

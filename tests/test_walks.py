@@ -170,8 +170,10 @@ def test_no_transmitted_weight_is_reported():
 
 def test_quadrature_refuses_a_hitting_time_below_one(monkeypatch):
     # sum m P(m) over m >= 1 is at least p_out, so h < 1 means the route is
-    # inconsistent; the circle means are faked to p_out 0.5, moment 0.25
-    monkeypatch.setattr("qgraph.walks._circle_means", lambda polys, n, shift: np.array([0.5, 0.25]))
+    # inconsistent; the circle means are faked to p_out 0.5, moment 0.25,
+    # with zero rounding floors
+    monkeypatch.setattr("qgraph.walks._circle_means",
+                        lambda polys, n, shift: np.array([0.5, 0.25, 0.0, 0.0]))
     with pytest.raises(ArithmeticError, match="hitting time 0.5 < 1"):
         qg.walk_stats_by_quadrature(qg.RationalAmplitude([0.0, 0.6, 0.8], [1.0]))
 
@@ -380,7 +382,8 @@ def test_quadrature_chunking_is_invisible(source, monkeypatch):
 def test_quadrature_chunks_cover_long_forms(monkeypatch):
     # a form longer than QUADRATURE_CHUNK gets chunks at least as long as
     # itself (or one chunk of all n nodes), so its twist and fold per chunk
-    # never outgrow the FFT
+    # never outgrow the FFT; the form is real, so one chunk of each
+    # conjugate pair is evaluated
     import qgraph.walks as walks_mod
 
     c31 = qg.extract_rational_amplitude(qg.make_cycle_graph(31))
@@ -389,7 +392,7 @@ def test_quadrature_chunks_cover_long_forms(monkeypatch):
     real_means, real_nodes = walks_mod._circle_means, walks_mod._on_rotated_nodes
 
     def means(polys, n, shift):
-        chunks.append([n])
+        chunks.append([n, shift])
         return real_means(polys, n, shift)
 
     def nodes(polys, m, phase):
@@ -400,16 +403,40 @@ def test_quadrature_chunks_cover_long_forms(monkeypatch):
     monkeypatch.setattr(walks_mod, "_on_rotated_nodes", nodes)
     qg.walk_stats_by_quadrature(amp)
     assert len(amp.num) > walks_mod.QUADRATURE_CHUNK
-    for n, *ms in chunks:
-        assert len(ms) == n // ms[0]
+    for n, shift, *ms in chunks:
+        count = n // ms[0]
+        assert len(ms) == len({min(r, (-r - shift) % count) for r in range(count)})
         assert all(m >= len(amp.num) or m == n for m in ms)
-    assert any(m < n for n, *ms in chunks for m in ms)
+    assert any(m < n for n, shift, *ms in chunks for m in ms)
+
+
+def _extended_circle_means(amp, n, block=1 << 13):
+    """Means of |T|^2 and Re[conj(T) z T'] on the n-th roots of unity, by
+    Horner's rule in extended precision (np.clongdouble)."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    num, den = (np.asarray(c).astype(np.clongdouble) for c in (amp.num, amp.den))
+    polys = (num, den, np.arange(len(num)) * num, np.arange(len(den)) * den)
+    sums = np.zeros(2, dtype=np.longdouble)
+    for lo in range(0, n, block):
+        z = np.exp(2j * pi * np.arange(lo, min(n, lo + block), dtype=np.longdouble) / n)
+        values = np.zeros((4, len(z)), dtype=np.clongdouble)
+        for row, c in zip(values, polys):
+            for coefficient in c[::-1]:
+                row *= z
+                row += coefficient
+        nv, dv, znv, zdv = values
+        t = nv / dv
+        zdt = (znv - t * zdv) / dv
+        sums += (np.abs(t) ** 2).sum(), (t.conj() * zdt).real.sum()
+    return sums / n
 
 
 @pytest.mark.parametrize("source", ["c3", "c31"])
 def test_nested_quadrature_equals_one_shot_rule(source, monkeypatch):
-    # the nested, chunked sums at the final n are the n-node trapezoid rule
-    # on the n-th roots of unity, evaluated at once
+    # the nested, chunked, conjugate-paired sums at the final n are the
+    # n-node trapezoid rule on the n-th roots of unity; the reference sums
+    # that rule in extended precision, since a float64 one-shot sum is
+    # itself off by up to 8.4e-14 on c31
     import qgraph.walks as walks_mod
 
     amp = qg.extract_rational_amplitude(qg.make_cycle_graph(int(source[1:])))
@@ -420,18 +447,114 @@ def test_nested_quadrature_equals_one_shot_rule(source, monkeypatch):
     stats = qg.walk_stats_by_quadrature(amp)
     n = 2 * calls[-1][0]
     assert calls == [(512, 0)] + [(512 << j, 1) for j in range(len(calls) - 1)]
-    num, den = amp.num, amp.den
-    nv, dv, znv, zdv = _on_rotated_nodes(
-        (num, den, np.arange(len(num)) * num, np.arange(len(den)) * den), n, 0.0
-    )
-    t = nv / dv
-    zdt = (znv * dv - nv * zdv) / dv**2
-    p_out = float(np.mean(np.abs(t) ** 2)) - abs(num[0] / den[0]) ** 2
-    moment = float(np.mean(np.real(np.conj(t) * zdt)))
+    mean_t2, moment = (float(x) for x in _extended_circle_means(amp, n))
+    p_out = mean_t2 - abs(amp.num[0] / amp.den[0]) ** 2
     assert abs(stats.p_out - p_out) < 1e-13
     assert abs(stats.hitting_time * stats.p_out - moment) < 1e-13
     if source == "c31":
         assert n == 1 << 19
+
+
+def _recorded_means(monkeypatch):
+    """Patch _circle_means to record each call's (n, shift, returned sums)."""
+    import qgraph.walks as walks_mod
+
+    calls = []
+    real = walks_mod._circle_means
+
+    def means(polys, n, shift):
+        sums = real(polys, n, shift)
+        calls.append((n, shift, sums))
+        return sums
+
+    monkeypatch.setattr(walks_mod, "_circle_means", means)
+    return calls
+
+
+def test_complex_forms_visit_every_chunk_and_real_forms_half(monkeypatch):
+    # a phase on the numerator leaves |T| and so both means unchanged, but
+    # makes the form complex: no conjugate pairs, every chunk is evaluated
+    import qgraph.walks as walks_mod
+
+    real_amp = qg.extract_rational_amplitude(qg.make_cycle_graph(31))
+    complex_amp = qg.RationalAmplitude(real_amp.num * np.exp(0.3j), real_amp.den)
+    assert real_amp.num.dtype == np.float64 and complex_amp.num.dtype == np.complex128
+    runs = []
+    for amp in (real_amp, complex_amp):
+        visits = []
+        with monkeypatch.context() as patch:
+            nodes = walks_mod._on_rotated_nodes
+            patch.setattr(walks_mod, "_on_rotated_nodes",
+                          lambda polys, m, phase: visits.append(m) or nodes(polys, m, phase))
+            calls = _recorded_means(patch)
+            runs.append((qg.walk_stats_by_quadrature(amp), calls, visits))
+    (real_stats, real_calls, real_visits), (complex_stats, complex_calls, complex_visits) = runs
+    assert [c[:2] for c in real_calls] == [c[:2] for c in complex_calls]
+    chunks = [(max(1, n // walks_mod.QUADRATURE_CHUNK), shift) for n, shift, _ in real_calls]
+    assert len(complex_visits) == sum(c for c, _ in chunks)
+    assert len(real_visits) == sum(len({min(r, (-r - shift) % c) for r in range(c)})
+                                   for c, shift in chunks)
+    assert len(real_visits) < 0.51 * len(complex_visits)
+    for (_, _, a), (_, _, b) in zip(real_calls, complex_calls):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    assert abs(real_stats.p_out - complex_stats.p_out) <= 1e-13
+    assert abs(real_stats.hitting_time - complex_stats.hitting_time) <= 1e-11
+
+
+def _planted_means(kick, calls):
+    """A fake _circle_means: floors of 1e-6, and every refinement moves both
+    means by ``kick`` times that floor."""
+    floor = 1e-6
+    rule = np.array([0.5, 1.0, floor, floor])
+
+    def means(polys, n, shift):
+        nonlocal rule
+        calls.append(n)
+        if shift == 0:
+            return rule
+        new = rule + [2.0 * kick * floor, 2.0 * kick * floor, 0.0, 0.0]
+        rule = 0.5 * (rule + new)
+        return new
+
+    return means
+
+
+def test_quadrature_settles_to_its_rounding_floor_and_no_further(monkeypatch):
+    # deltas far above 1e-12 relative but just under the floor settle at the
+    # first doubling; just above it, the rule doubles to the cap and refuses
+    import qgraph.walks as walks_mod
+
+    amp = qg.RationalAmplitude([0.0, 0.6, 0.8], [1.0])
+    calls = []
+    monkeypatch.setattr(walks_mod, "_circle_means", _planted_means(0.99, calls))
+    stats = qg.walk_stats_by_quadrature(amp)
+    assert calls == [512, 512]
+    assert stats.p_out == 0.5 + 0.99e-6
+    calls.clear()
+    monkeypatch.setattr(walks_mod, "_circle_means", _planted_means(1.01, calls))
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        qg.walk_stats_by_quadrature(amp)
+    assert calls[-1] == walks_mod.QUADRATURE_MAX_NODES // 2
+
+
+def test_long_chain_quadrature_settles_only_to_its_floor(monkeypatch):
+    # c3x6 evaluates its forms about 5e-7 off on p_out: the last doubling
+    # moves a mean by more than 1e-12 relative but less than its floor, and
+    # the settled values stay off the exact route by more than 1e-12
+    import qgraph.walks as walks_mod
+
+    graph = qg.compose_series(qg.parse_series_shorthand("-".join(["c3"] * 6)))
+    calls = _recorded_means(monkeypatch)
+    stats = qg.walk_stats_by_quadrature(qg.extract_rational_amplitude(graph))
+    rule = calls[0][2]
+    for _, _, sums in calls[1:-1]:
+        rule = 0.5 * (rule + sums)
+    refined = 0.5 * (rule + calls[-1][2])
+    delta, floor = np.abs(refined[:2] - rule[:2]), refined[2:]
+    assert np.all(delta < floor) and np.any(delta >= 1e-12 * np.abs(refined[:2]))
+    assert floor[0] > 1e-7
+    assert calls[-1][0] < walks_mod.QUADRATURE_MAX_NODES // 2
+    assert abs(stats.p_out - qg.walk_stats_exact(graph).p_out) > 1e-12
 
 
 @pytest.mark.parametrize(
