@@ -483,11 +483,9 @@ def extract_rational_amplitude(graph: QuantumGraph, channel: str = "transmission
 # a factor 2 for nb, k from 6 to 398 on a 2-core x86-64 machine (numpy 2.4,
 # single-threaded OpenBLAS, solve_many's batches spread over both cores): a
 # dense solve takes 1.3 + 0.025 nb^2 + 5.6e-6 nb^3 per point, and an
-# extraction 190 + 38 k + 0.0034 k^3 on a real bond map, almost all of it
-# the reduction.  A complex bond map keeps the earlier 430 + 88 k +
-# 0.023 k^3, so its sweeps take the routes they took before real maps got
-# their own arithmetic; it measured 0.41-0.53 of that on this machine,
-# where 190 + 38 k + 0.0105 k^3 fits within 0.88-1.22.
+# extraction 190 + 38 k + c k^3, almost all of it the reduction, with
+# c = 0.0034 on a real bond map (within 0.90-1.11) and 0.0105 on a complex
+# one (within 0.88-1.22).
 # ---------------------------------------------------------------------------
 
 
@@ -496,10 +494,7 @@ def _rational_pays(points: int, nb: int, k: int, real: bool) -> bool:
     # Past k = 10^100 extraction never pays; the clamp keeps k^3 a finite float.
     k = min(k, 10**100)
     solve_us = 1.3 + 0.025 * nb**2 + 5.6e-6 * nb**3
-    if real:
-        extract_us = 190.0 + 38.0 * k + 0.0034 * k**3
-    else:
-        extract_us = 430.0 + 88.0 * k + 0.023 * k**3
+    extract_us = 190.0 + 38.0 * k + (0.0034 if real else 0.0105) * k**3
     return points * solve_us >= extract_us
 
 

@@ -12,7 +12,8 @@ and direct power iteration of the bond map.  Both return coefficients only.
 The statistics come from three routes: walk_stats_exact sums the series
 exactly through the reduced bond map's Gramians, walk_stats_to_tolerance
 truncates the series under one geometric tail rule set by the smallest pole
-radius, and walk_stats_by_quadrature integrates on the unit circle.
+radius, and walk_stats_by_quadrature integrates on the unit circle with at
+least as many nodes as that radius's decay needs.
 """
 
 from __future__ import annotations
@@ -47,23 +48,33 @@ GRAMIAN_SQUARINGS = 64
 # up to 30.2 units, there.  The charge is an estimate, not a bound.
 _GRAMIAN_ROUNDING = 16.0
 
-# The circle quadrature stops doubling its node count at
-# QUADRATURE_MAX_NODES.  It evaluates its n nodes in FFTs of
+# The circle quadrature settles once its pole decay and its change per
+# doubling are both below QUADRATURE_TOL, and stops doubling its node count
+# at QUADRATURE_MAX_NODES.  It evaluates its n nodes in FFTs of
 # m = min(n, max(QUADRATURE_CHUNK, 2^ceil(log2 L))) nodes, L the longest
 # form's length.  The four per-chunk arrays of 2^10 complex values are 64 KiB:
 # under glibc's 128 KiB mmap threshold, so they are reused from the heap
 # instead of mapped and unmapped (and page-faulted) on every chunk, and they
 # stay in L2.  A longer form gets chunks at least as long as itself, so the
 # O(L) twist and fold per chunk never outgrows its FFT.  A real form skips
-# the conjugate of each chunk.  c31's 2^19 nodes take a 0.23 MiB traced peak
-# and, on a shared 2-core Xeon, about 20 ms, 5 of them the rounding floors
-# (30 ms, without floors, evaluating every chunk).
+# the conjugate of each chunk.  c31 settles at 2^18 nodes with a 0.24 MiB
+# traced peak, in about 9 ms on a shared 2-core Xeon.
+QUADRATURE_TOL = 1e-8
 QUADRATURE_MAX_NODES = 1 << 19
 QUADRATURE_CHUNK = 1 << 10
 
 
 class TruncationError(ArithmeticError):
     """The truncated series cannot certify the requested tolerance."""
+
+
+def _check_weight(c: np.ndarray) -> None:
+    """Refuse coefficients whose total weight sum |c_m|^2 exceeds 1 beyond roundoff."""
+    weight = float(np.sum(np.abs(c) ** 2))
+    if weight > 1.0 + 1e-9:
+        raise ValueError(
+            f"total weight {weight:.6f} exceeds 1; amplitude is not flux-conserving"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +94,7 @@ class WalkSeries:
             raise ValueError(
                 f"expected {self.order + 1} coefficients, got shape {c.shape}"
             )
-        weight = float(np.sum(np.abs(c) ** 2))
-        if weight > 1.0 + 1e-9:
-            raise ValueError(
-                f"total weight {weight:.6f} exceeds 1; amplitude is not flux-conserving"
-            )
+        _check_weight(c)
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
@@ -248,8 +255,7 @@ def walk_stats_to_tolerance(amp: RationalAmplitude, tolerance: float = 1e-8) -> 
     c = ()
     while True:
         c = _recurrence(amp.num, amp.den, order, c)
-        # WalkSeries refuses a total weight above 1, checked on every round.
-        WalkSeries(coefficients=c, order=order)
+        _check_weight(c)
         p = np.abs(c) ** 2
         # order >= len(num) + deg den, so no weight now means none later.
         stats = _walk_stats(float(p[1:].sum()),
@@ -353,10 +359,9 @@ def _on_rotated_nodes(polys, m: int, phase: float) -> np.ndarray:
 
 
 def _circle_means(polys, n: int, shift: int) -> np.ndarray:
-    """Means of |T|^2 and Re[conj(T) z T'], and their rounding floors.
+    """Means of |T|^2 and Re[conj(T) z T'] over z_j = e^{i pi (2j + shift)/n}, j < n.
 
-    The means run over z_j = e^{i pi (2j + shift)/n}, j < n, and ``polys``
-    holds num, den, z num' and z den'.  The nodes are evaluated
+    ``polys`` holds num, den, z num' and z den'.  The nodes are evaluated
     in chunks of m = min(n, max(QUADRATURE_CHUNK, 2^ceil(log2 L))), L the
     longest row's length: those with j = r (mod n/m) are the m-th roots of
     unity rotated by e^{i pi (2r + shift)/n}.  The conjugate of node j is
@@ -364,23 +369,12 @@ def _circle_means(polys, n: int, shift: int) -> np.ndarray:
     (-r - shift) mod (n/m).  Real rows give T(conj z) = conj T(z), and both
     integrands take equal values there: one chunk of each such pair is
     evaluated and counted twice.
-
-    The last two entries are rounding floors, the means of first-order
-    bounds on each integrand's rounding.  A row p is evaluated within
-    2 L eps sum |p_k| on |z| = 1 (Horner's bound, which the FFT meets), so
-    T errs by dT = 2 L eps (sum |num_k| + |T| sum |den_k|) / |den|,
-    z T' = (z num' - T z den') / den by dZ =
-    (2 L eps (sum |k num_k| + |T| sum |k den_k| + |z T'| sum |den_k|)
-    + |z den'| dT) / |den|, |T|^2 by 2 |T| dT and Re[conj(T) z T'] by
-    |z T'| dT + |T| dZ.
     """
     longest = max(len(c) for c in polys)
     m = min(n, max(QUADRATURE_CHUNK, 1 << (longest - 1).bit_length()))
     chunks = n // m
     real = not any(np.iscomplexobj(c) for c in polys)
-    e_num, e_den, e_znum, e_zden = (2.0 * longest * np.finfo(float).eps * np.abs(c).sum()
-                                    for c in polys)
-    sums = np.zeros(4)
+    sums = np.zeros(2)
     for r in range(chunks):
         pair = (-r - shift) % chunks if real else r
         if pair < r:
@@ -390,18 +384,7 @@ def _circle_means(polys, n: int, shift: int) -> np.ndarray:
         t = nv * inv
         # z T' = (z num' - T z den') / den
         zdt = (znv - t * zdv) * inv
-        # The bounds above, summed over the chunk as dot products of
-        # u = 1/|den|, a = |T|, b = |z T'| and g = |z den'|.
-        u, a, b = np.abs(inv), np.abs(t), np.abs(zdt)
-        au, gu = a * u, np.abs(zdv) * u
-        a2u = a * au
-        s1, s2 = au.sum(), a2u.sum()
-        chunk = np.array([
-            np.vdot(t, t).real, np.vdot(t, zdt).real,
-            2.0 * (e_num * s1 + e_den * s2),
-            e_num * (b @ u + au @ gu) + e_den * (2.0 * (b @ au) + a2u @ gu)
-            + e_znum * s1 + e_zden * s2,
-        ])
+        chunk = np.array([np.vdot(t, t).real, np.vdot(t, zdt).real])
         sums += chunk if pair == r else 2.0 * chunk
     return sums / n
 
@@ -416,14 +399,17 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     removable 0/0 sits on the circle.  The rule is nested: the n-node sum
     on the n-th roots of unity, T_n, refines to T_2n = (T_n + M_n)/2, with
     M_n the mean over the n midpoints e^{i pi (2j + 1)/n}, so each doubling
-    evaluates only new nodes.  n doubles from 512 until both means settle
-    to 1e-12 relative or to their rounding floor (see _circle_means),
-    whichever is larger, up to 2^19.  As on the series route, p_out counts
-    steps m >= 1: the zero-step weight |c_0|^2 is taken off the mean, and a
-    form with nothing left raises ValueError.  P(m) is not resolved by this
-    route, so p_of_m comes back empty.
+    evaluates only new nodes.  n doubles from 512 up to 2^19.  The n-node
+    rule errs by O(rho^-n), rho the smallest pole radius (Trefethen and
+    Weideman, SIAM Review 56, 2014), so T_2n is accepted once rho^-n <
+    QUADRATURE_TOL and both means moved by less than QUADRATURE_TOL
+    relative (to at least 1e-3); a polynomial form needs only the second.
+    As on the series route, p_out counts steps m >= 1: the zero-step weight
+    |c_0|^2 is taken off the mean, and a form with nothing left raises
+    ValueError.  P(m) is not resolved by this route, so p_of_m comes back
+    empty.
     """
-    _pole_radius(amp)  # raises on a unit-circle pole
+    rho = _pole_radius(amp)  # raises on a unit-circle pole
     num, den = amp.num, amp.den
     polys = (num, den, np.arange(len(num)) * num, np.arange(len(den)) * den)
 
@@ -432,13 +418,13 @@ def walk_stats_by_quadrature(amp: RationalAmplitude) -> WalkStats:
     while True:
         if n >= QUADRATURE_MAX_NODES:
             raise ArithmeticError("circle quadrature did not converge")
-        refined = 0.5 * (rule + _circle_means(polys, n, 1))
+        means = 0.5 * (rule + _circle_means(polys, n, 1))
+        decayed = rho is None or rho ** -n < QUADRATURE_TOL
         n *= 2
-        means, floors = refined[:2], refined[2:]
-        settle = np.maximum(1e-12 * np.maximum(np.abs(means), 1e-3), floors)
-        if np.all(np.abs(means - rule[:2]) < settle):
+        if decayed and np.all(np.abs(means - rule)
+                              < QUADRATURE_TOL * np.maximum(np.abs(means), 1e-3)):
             break
-        rule = refined
+        rule = means
     p_out, moment = float(means[0]), float(means[1])
 
     if not (0.0 < p_out <= 1.0 + 1e-9):

@@ -132,6 +132,29 @@ def test_rational_route_starts_at_the_extraction_cost(text, samples, monkeypatch
     assert np.max(np.abs(sweep.r - r_ref)) < 1e-10
 
 
+@pytest.mark.parametrize("samples", [108, 109])
+def test_a_complex_chain_switches_at_its_own_extraction_cost(samples, monkeypatch):
+    # c3-c4 with every vertex matrix turned by one unit phase has a complex
+    # bond map, whose extraction costs 190 + 38 k + 0.0105 k^3: 109 points
+    # pay for it (106 on the real map)
+    import qgraph.solver as solver_mod
+
+    chain = qg.compose_series(qg.parse_series_shorthand("c3-c4"))
+    graph = qg.QuantumGraph(
+        vertex_ids=chain.vertex_ids,
+        boundary=tuple(np.exp(0.7j) * chain.vertex_matrix(v) for v in chain.vertex_ids),
+        edges=chain.edges, leads=chain.leads)
+    assert np.iscomplexobj(qg.assemble_bond_system(graph).smatrix)
+    calls = []
+    horner = solver_mod._horner_sweep
+    monkeypatch.setattr(solver_mod, "_horner_sweep",
+                        lambda *args: calls.append(1) or horner(*args))
+    sweep = qg.sweep_transmission(graph, 0.1, 6.2, samples)
+    assert bool(calls) == (samples == 109)
+    t, _ = qg.solve_many(graph, sweep.kl)
+    assert np.max(np.abs(sweep.t - t)) < 1e-10
+
+
 def test_rational_route_sweep_of_a_long_chain_matches_the_solver(monkeypatch):
     # On six chained triangles Horner's rule on the forms' coefficients
     # loses digits (t off by 3e-7 where its rounding bound is not checked);

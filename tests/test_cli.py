@@ -431,16 +431,32 @@ def test_hitting_answers_where_the_series_is_too_slow(source, capsys):
     assert abs(values["p_out"] - values["p_out_quadrature"]) < 1e-8
 
 
+@pytest.mark.parametrize("source", [
+    "c37", "c39", "c58", "c60", "c62", "c64", "c3+c5+c6+c5", "c5+c6+c5+c3",
+    "c3-c5-c3-c5", "c5-c3-c5-c3", "c6-c5-c5-c6",
+])
+def test_hitting_answers_where_the_quadrature_settles_on_its_pole_decay(source, capsys):
+    # poles close enough to the circle to need 2^18-2^19 nodes: the
+    # quadrature settles on rho^-n and a change below 1e-8 relative, and
+    # both routes agree
+    code, out, err = run(capsys, "hitting", "--graph", source)
+    assert code == 0 and err == ""
+    values = {k: float(v) for k, v in (line.split(" = ") for line in out.splitlines())}
+    exact = qg.walk_stats_exact(qg.compose_series(qg.parse_series_shorthand(source)))
+    assert abs(values["h_quadrature"] - exact.hitting_time) < 1e-8
+    assert abs(values["p_out_quadrature"] - exact.p_out) < 1e-8
+
+
 def test_hitting_refuses_without_a_check_route(capsys):
-    # the exact route answers c64, but no quadrature converges to check it
-    code, out, err = run(capsys, "hitting", "--graph", "c64")
+    # the exact route answers c99, but no quadrature converges to check it
+    code, out, err = run(capsys, "hitting", "--graph", "c99")
     assert code == 2 and out == ""
     assert err == "qgraph: numerical failure: circle quadrature did not converge\n"
 
 
-def test_hitting_refuses_a_quadrature_settled_only_to_its_floor(capsys):
-    # c3x6's quadrature settles to its rounding floor (about 5e-7 on p_out),
-    # and the route check, not the quadrature, refuses the result
+def test_hitting_refuses_a_long_chain_through_the_route_check(capsys):
+    # c3x6's quadrature settles about 6e-7 off the exact h, and the route
+    # check, not the quadrature, refuses the result
     code, out, err = run(capsys, "hitting", "--graph", "-".join(["c3"] * 6))
     assert code == 2 and out == ""
     assert err.startswith("qgraph: numerical failure: h = ")
