@@ -6,13 +6,14 @@ to pay for one extraction, and by the dense bond solver otherwise.  Inside
 wide bands where the transmission is suppressed, chained cycle graphs
 develop very narrow resonances of full transmission; the detectors here
 locate those bands by interval arithmetic on the grid and then refine each
-peak against the solver itself (golden-section for the center, bisection
-of the grid step that brackets each half-height crossing), since the
-interesting widths are only a few grid steps wide.  Every reported center,
-height and width is a solver evaluation.  All peaks of a sweep are refined
-in lockstep, one batched solve per round, with the same numbers bit for bit
-as one point at a time.  Every stdout format of the command line
-(sweep, peaks, transmit, walk and hitting) is written here.
+peak against the solver itself, since the interesting widths are only a few
+grid steps wide: Brent's parabolic search for the center and Brent's zeroin
+on the grid step that brackets each half-height crossing, both safeguarded
+so that they keep their brackets and converge superlinearly.  Every
+reported center, height and width is a solver evaluation.  All peaks of a
+sweep are refined in lockstep, one batched solve per round, with the same
+numbers bit for bit as one point at a time.  Every stdout format of the
+command line (sweep, peaks, transmit, walk and hitting) is written here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ DEFAULT_BAND_FLOOR = 0.01
 FULL_TRANSMISSION_HEIGHT = 0.999
 REFINE_TOL = 1e-9
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +167,14 @@ def detect_suppression_bands(sweep: Sweep, floor: float = DEFAULT_BAND_FLOOR):
     if not (0.0 < floor < 1.0):
         raise ValueError(f"floor must be in (0, 1), got {floor!r}")
     kl = sweep.kl
-    # +1 where a below-floor run starts, -1 one past where it ends.
-    steps = np.diff((sweep.t2 < floor).astype(np.int8), prepend=0, append=0)
+    # Where a below-floor run starts and one past where it ends, alternately.
+    below = np.zeros(len(kl) + 1, dtype=bool)
+    np.less(sweep.t2, floor, out=below[1:])
+    edges = np.flatnonzero(below[1:] != below[:-1])
     # Merging only widens clusters and keeps the gaps between them, so one
     # pass with a stack reaches the fixed point of merging in any order.
     clusters = []  # [lo, hi, total below-floor width]
-    for i, j in zip(np.nonzero(steps == 1)[0], np.nonzero(steps == -1)[0] - 1):
+    for i, j in zip(edges[::2], np.r_[edges[1::2], len(kl)] - 1):
         lo, hi = kl[i], kl[j]
         width = hi - lo
         while clusters and lo - clusters[-1][1] < clusters[-1][2] + width:
@@ -180,22 +184,53 @@ def detect_suppression_bands(sweep: Sweep, floor: float = DEFAULT_BAND_FLOOR):
     return [(float(lo), float(hi)) for lo, hi, _ in clusters]
 
 
-def _golden_max(a: float, b: float):
-    """Golden-section search for the maximum on [a, b]: (x, |T(x)|^2)."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = yield (c, d)
-    while (b - a) > REFINE_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            (fc,) = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            (fd,) = yield (d,)
-    x = 0.5 * (a + b)
+def _tolerance(x: float) -> float:
+    """Half of REFINE_TOL, or 2 eps |x| where that is coarser, so a step of it moves x."""
+    return max(0.5 * REFINE_TOL, 2.0 * _EPS * abs(x))
+
+
+def _brent_max(a: float, b: float):
+    """Brent's search for the maximum of |T|^2 on [a, b]: (x, |T(x)|^2).
+
+    Parabolic interpolation through the three best points, with a golden
+    step whenever the parabola's vertex falls outside the bracket or does
+    not halve the step before last (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5).  The bracket only shrinks, and the
+    search stops once both its ends lie within REFINE_TOL of the best point
+    evaluated, x, which is returned with its value.
+    """
+    x = w = v = a + _GOLDEN * (b - a)
     (fx,) = yield (x,)
+    fw = fv = fx
+    d = e = 0.0  # the last step and the one before it
+    while max(x - a, b - x) > 2.0 * (tol := _tolerance(x)):
+        parabola = False
+        if abs(e) > tol:
+            # the vertex x + p / q of the parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            parabola = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+        if parabola:
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:  # too near an end: step inward
+                d = math.copysign(tol, a + b - 2.0 * x)
+        else:  # golden step into the larger side
+            e = b - x if 2.0 * x < a + b else a - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        (fu,) = yield (u,)
+        if fu >= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
     return x, fx
 
 
@@ -215,16 +250,54 @@ def _grid_bracket(kl, t2, center: float, half: float, side: int):
 
 
 def _half_crossing(inside: float, outside: float, half: float):
-    """Where |T|^2 falls to ``half``: [inside, outside] bisected, at least once, to REFINE_TOL."""
+    """Where |T|^2 falls to ``half`` between a grid bracket's ends: Brent's zeroin.
+
+    The first round asks for both ends.  If |T|^2 is above ``half`` at
+    ``inside`` and not at ``outside``, bisection, secant and inverse
+    quadratic interpolation steps on |T|^2 - half (Brent 1973, ch. 4) shrink
+    a bracket of solver values to REFINE_TOL, and its end where |T|^2 is
+    nearer ``half`` is returned.  Otherwise the solver shows no fall through
+    ``half`` between the ends (half height is not reached before the grid
+    ends, say), and with no further solves the answer is where bisection of
+    [inside, outside] to REFINE_TOL ends when every midpoint lies on the
+    same side of ``half`` as ``outside``.
+    """
+    fa, fb = yield (inside, outside)
+    a, b, fa, fb = inside, outside, fa - half, fb - half
+    if not fa > 0.0 >= fb:
+        while True:
+            a, b = (0.5 * (a + b), b) if fb > 0.0 else (a, 0.5 * (a + b))
+            if abs(b - a) <= 2.0 * _tolerance(b):
+                return 0.5 * (a + b)
+    # b is the latest point, c the end on the other side of half, a the point before b
+    c, fc, d = a, fa, b - a
+    e = d  # the step before last
     while True:
-        mid = 0.5 * (inside + outside)
-        (value,) = yield (mid,)
-        if value > half:
-            inside = mid
-        else:
-            outside = mid
-        if abs(outside - inside) <= REFINE_TOL:
-            return 0.5 * (inside + outside)
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = _tolerance(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b
+        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
+        if interpolate:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            interpolate = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+        e, d = (d, p / q) if interpolate else (m, m)
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        (fb,) = yield (b,)
+        fb -= half
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def _lockstep(graph: QuantumGraph, searches: list) -> list:
@@ -253,10 +326,11 @@ def _lockstep(graph: QuantumGraph, searches: list) -> list:
 def detect_peaks(sweep: Sweep, min_height: float = 0.99):
     """Solver-refined transmission peaks inside the suppression bands.
 
-    Grid-level local maxima inside each band seed a golden-section
-    maximization of the solver's |T|^2 between the neighboring grid points
-    (centers to 1e-9).  The grid step where each half-height crossing lies
-    (see _grid_bracket) is bisected against the solver to 1e-9, all peaks in
+    Grid-level local maxima inside each band seed Brent's maximization of
+    the solver's |T|^2 between the neighboring grid points (see _brent_max;
+    centers to REFINE_TOL = 1e-9).  In the grid step where each half-height
+    crossing lies (see _grid_bracket), Brent's zeroin brackets the crossing
+    by solver values to REFINE_TOL (see _half_crossing), all peaks in
     lockstep.  Peaks whose refined height stays below ``min_height`` are
     dropped.  Heights are always direct solver evaluations, never grid
     interpolations.
@@ -264,14 +338,18 @@ def detect_peaks(sweep: Sweep, min_height: float = 0.99):
     if not (0.0 < min_height <= 1.0):
         raise ValueError(f"min_height must be in (0, 1], got {min_height!r}")
     kl, t2 = sweep.kl, sweep.t2
-    # Refinement recovers the true height of undersampled peaks, so the grid
-    # filter on the local maxima stays deliberately loose.
-    mid = t2[1:-1]
-    seed = np.r_[False, (mid > t2[:-2]) & (mid >= t2[2:]) & (mid >= 0.5 * min_height), False]
-    seeds = [(i, band) for band in detect_suppression_bands(sweep)
-             for i in np.nonzero(seed & (kl >= band[0]) & (kl <= band[1]))[0]]
+    seeds = []  # (grid index, band)
+    for band in detect_suppression_bands(sweep):
+        # the band's grid points with a neighbour on each side (its ends are grid points)
+        lo = max(int(np.searchsorted(kl, band[0])), 1)
+        hi = min(int(np.searchsorted(kl, band[1], "right")), len(kl) - 1)
+        mid = t2[lo:hi]
+        # Refinement recovers the true height of undersampled peaks, so the
+        # grid filter on the local maxima stays deliberately loose.
+        peak = (mid > t2[lo - 1:hi - 1]) & (mid >= t2[lo + 1:hi + 1]) & (mid >= 0.5 * min_height)
+        seeds += [(lo + int(i), band) for i in np.flatnonzero(peak)]
     maxima = _lockstep(
-        sweep.graph, [_golden_max(float(kl[i - 1]), float(kl[i + 1])) for i, _ in seeds]
+        sweep.graph, [_brent_max(float(kl[i - 1]), float(kl[i + 1])) for i, _ in seeds]
     )
 
     kept = []  # (center, height, band)

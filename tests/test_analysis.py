@@ -227,13 +227,13 @@ def test_peak_seeds_match_a_loop_over_the_grid(min_height, monkeypatch):
         and not t2[i] < 0.5 * min_height
     ]
     brackets = []
-    golden = analysis._golden_max
+    brent = analysis._brent_max
 
     def recording(a, b):
         brackets.append((a, b))
-        return golden(a, b)
+        return brent(a, b)
 
-    monkeypatch.setattr(analysis, "_golden_max", recording)
+    monkeypatch.setattr(analysis, "_brent_max", recording)
     qg.detect_peaks(sweep, min_height)
     assert brackets == expected and len(expected) >= 4
 
@@ -251,7 +251,7 @@ def test_peak_refinement_batches_its_solves(monkeypatch):
     monkeypatch.setattr("qgraph.solver.solve_many", counting)
     monkeypatch.setattr(analysis, "solve_many", counting)
     assert len(qg.detect_peaks(sweep)) == 4
-    assert len(calls) <= 120
+    assert len(calls) <= 12
 
 
 def _bracket_by_loop(kl, t2, center, half, side):
@@ -297,8 +297,8 @@ def test_crossings_are_bracketed_by_the_grid(text, monkeypatch):
         for p in peaks for side in (-1, 1)
     ]
     assert peaks and [b[:3] for b in brackets] == expected
-    # only the last grid step is bisected, to REFINE_TOL: 17 rounds at most
-    assert max(b[3] for b in brackets) <= 17
+    # only the last grid step is searched, to REFINE_TOL: 5 rounds at most
+    assert max(b[3] for b in brackets) <= 5
 
 
 @pytest.mark.parametrize("offset", [0.0, -0.25])
@@ -318,10 +318,130 @@ def test_crossing_brackets_at_a_grid_center_and_past_the_grid_end(offset, monkey
         yield (center,)
         return center, float(t2[100])
 
-    monkeypatch.setattr(analysis, "_golden_max", fixed)
+    monkeypatch.setattr(analysis, "_brent_max", fixed)
     peaks, brackets = _recorded_brackets(monkeypatch, sweep, min_height=0.01)
     assert [p.center for p in peaks] == [center]
     assert [b[:2] for b in brackets] == [[center, kl[99]], [kl[199], kl[200]]]
+
+
+def _drive(search, profile, max_rounds=100):
+    # a refinement search run on an analytic |T|^2: its result, every point
+    # it asked for with the value it was sent, and its round count
+    asked, ask = {}, next(search)
+    try:
+        for rounds in range(1, max_rounds + 1):
+            values = [profile(x) for x in ask]
+            asked.update(zip(ask, values))
+            ask = search.send(values)
+    except StopIteration as done:
+        return done.value, asked, rounds
+    raise AssertionError(f"no result after {max_rounds} rounds")
+
+
+def _lorentzian(x0, gamma):
+    # peak 1 at x0, half height at x0 +- gamma
+    return lambda x: 1.0 / (1.0 + ((x - x0) / gamma) ** 2)
+
+
+def _fano(x0, gamma, q):
+    # normalized Fano line: peak 1 at x0 + gamma / q, zero at x0 - q gamma
+    def profile(x):
+        e = (x - x0) / gamma
+        return (q + e) ** 2 / ((1.0 + q * q) * (1.0 + e * e))
+
+    return profile
+
+
+def _brent_max_checked(a, b, profile):
+    # the maximizer's result, after checking that it is the best point it
+    # asked for and that points it asked for (or the bracket's ends) lie
+    # within REFINE_TOL on both sides of it
+    (x, height), asked, _ = _drive(analysis._brent_max(a, b), profile)
+    assert height == asked[x] == max(asked.values())
+    assert x - max([a] + [p for p in asked if p < x]) <= analysis.REFINE_TOL
+    assert min([b] + [p for p in asked if p > x]) - x <= analysis.REFINE_TOL
+    return x, height
+
+
+# (profile, peak, (left, right) half-height crossings).  For the Fano line
+# with q = 2, half height solves 3 e^2 - 8 e - 3 = 0: e = -1/3 and 3.
+_PROFILES = {
+    "lorentzian": (_lorentzian(2.2286431, 0.0106), 2.2286431,
+                   (2.2286431 - 0.0106, 2.2286431 + 0.0106)),
+    "fano": (_fano(3.1, 0.01, 2.0), 3.1 + 0.005, (3.1 - 0.01 / 3.0, 3.1 + 0.03)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_brent_max_finds_an_analytic_peak_to_refine_tol(name):
+    profile, peak, _ = _PROFILES[name]
+    # a grid step either side of the peak, off center as a grid's would be
+    x, height = _brent_max_checked(peak - 1.3e-4, peak + 0.7e-4, profile)
+    assert abs(x - peak) <= analysis.REFINE_TOL and height <= 1.0
+
+
+def test_brent_max_stays_on_a_flat_top_at_the_rounding_level():
+    # 1 - 1e-8 (x - 2.5)^2 rounds to exactly 1.0 within about 7e-5 of 2.5,
+    # so every point of that plateau is a maximum; the bracket reaches past it
+    def profile(x):
+        return 1.0 - 1e-8 * (x - 2.5) ** 2
+
+    assert profile(2.5 - 1.2e-4) < 1.0 and profile(2.5 + 0.8e-4) < 1.0
+    _, height = _brent_max_checked(2.5 - 1.2e-4, 2.5 + 0.8e-4, profile)
+    assert height == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+@pytest.mark.parametrize("side", [-1, 1])
+def test_half_crossing_finds_an_analytic_crossing_to_refine_tol(name, side):
+    profile, _, crossings = _PROFILES[name]
+    crossing = crossings[side > 0]
+    # the grid step holding the crossing: its inner end above half height
+    inside, outside = crossing - side * 0.4e-4, crossing + side * 0.6e-4
+    x, asked, _ = _drive(analysis._half_crossing(inside, outside, 0.5), profile)
+    assert x in asked and abs(x - crossing) <= analysis.REFINE_TOL
+    # solver values on both sides of half, at most REFINE_TOL apart, one of them x
+    above = [p for p, v in asked.items() if v > 0.5]
+    below = [p for p, v in asked.items() if v <= 0.5]
+    assert inside in above and outside in below
+    assert min(abs(p - q) for p in above for q in below if x in (p, q)) <= analysis.REFINE_TOL
+
+
+def _bisection_limit(inside, outside, above):
+    # where bisection of [inside, outside] to REFINE_TOL ends when every
+    # midpoint is above half (above) or none is
+    while True:
+        mid = 0.5 * (inside + outside)
+        inside, outside = (mid, outside) if above else (inside, mid)
+        if abs(outside - inside) <= analysis.REFINE_TOL:
+            return 0.5 * (inside + outside)
+
+
+@pytest.mark.parametrize("offsets, above", [((0.5, 0.9), True), ((1.1, 1.5), False)])
+def test_half_crossing_without_a_sign_change_ends_like_bisection(offsets, above):
+    # Half height is never reached before the grid end (both ends above it),
+    # or already passed at the inner end (both below): no crossing is seen, so
+    # after the one round for the ends the answer is bisection's limit, toward
+    # the outer end or the inner one, which no solve is asked for.
+    profile = _lorentzian(2.0, 0.01)
+    inside, outside = 2.0 + 0.01 * offsets[0], 2.0 + 0.01 * offsets[1]
+    assert (profile(inside) > 0.5, profile(outside) > 0.5) == (above, above)
+    x, asked, rounds = _drive(analysis._half_crossing(inside, outside, 0.5), profile)
+    assert rounds == 1 and set(asked) == {inside, outside}
+    assert x == _bisection_limit(inside, outside, above)
+    assert abs(x - (outside if above else inside)) <= analysis.REFINE_TOL
+
+
+def test_refinement_ends_where_kl_outgrows_refine_tol():
+    # Above kl = 2^23 one ulp of kl exceeds REFINE_TOL; the searches then
+    # stop at a bracket of a few ulps instead of looping for ever.
+    x0 = 2.0e7 + 0.2286431
+    profile = _lorentzian(x0, 0.0106)
+    (x, height), asked, _ = _drive(analysis._brent_max(x0 - 1.3e-4, x0 + 0.7e-4), profile)
+    assert height == asked[x] and abs(x - x0) <= 8 * np.spacing(x0)
+    crossing = x0 + 0.0106
+    x, asked, _ = _drive(analysis._half_crossing(crossing - 4e-5, crossing + 6e-5, 0.5), profile)
+    assert x in asked and abs(x - crossing) <= 8 * np.spacing(x0)
 
 
 def test_batched_refinement_applies_the_singular_point_policy(monkeypatch):
