@@ -102,7 +102,7 @@ def _check_symmetric_unitary(r, t, rp, tp, lead_degree: int) -> None:
     m_rest = np.array([[rp, tp], [tp, rp]], dtype=complex)
     for name, m in (("lead-vertex", m_lead), ("interior-vertex", m_rest)):
         defect = unitarity_defect(m)
-        if defect > UNITARITY_TOL_CHECK:
+        if not defect <= UNITARITY_TOL_CHECK:  # a NaN fails too
             raise ValueError(
                 f"{name} parameters are not unitary (defect {defect:.3e})"
             )

@@ -203,8 +203,8 @@ def validate_graph(graph: QuantumGraph) -> ValidationReport:
 
     Checks: unique vertex ids, edge/lead references, positive finite
     lengths, lead count 0 or 2, connectivity, and for custom boundary
-    matrices squareness, dimension equal to the vertex degree, and unitarity
-    within 1e-12.
+    matrices squareness, dimension equal to the vertex degree, finite
+    entries, and unitarity within 1e-12.
     """
     problems = []
     ids = graph.vertex_ids
@@ -266,8 +266,15 @@ def validate_graph(graph: QuantumGraph) -> ValidationReport:
                 f"but the vertex degree is {d}"
             )
             continue
+        bad = np.argwhere(~np.isfinite(bc))
+        if len(bad):
+            i, j = bad[0]
+            problems.append(
+                f"vertex {vid} boundary matrix entry ({i}, {j}) is not finite ({bc[i, j]})"
+            )
+            continue
         defect = unitarity_defect(bc)
-        if defect > UNITARITY_TOL_CONSTRUCT:
+        if not defect <= UNITARITY_TOL_CONSTRUCT:  # a NaN fails too
             problems.append(
                 f"vertex {vid} boundary matrix is not unitary "
                 f"(defect {defect:.3e})"

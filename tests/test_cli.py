@@ -151,6 +151,31 @@ def test_edgeless_graph_has_no_hitting_time(tmp_path, capsys):
     assert "qgraph: error: no transmitted weight" in err
 
 
+def _nan_matrix_graph(path):
+    # c3 with a custom 2x2 matrix of NaN cells at its off-lead vertex; Python's
+    # json reads and writes NaN
+    graph = qg.graphs.graph_to_json(qg.make_cycle_graph(3))
+    nan = {"re": float("nan"), "im": 0.0}
+    graph["vertices"][2]["bc"] = {"custom": [[nan, nan], [nan, nan]]}
+    path.write_text(json.dumps(graph))
+    assert "NaN" in path.read_text()
+    return str(path)
+
+
+def test_validate_names_a_non_finite_matrix_entry(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", "--graph", _nan_matrix_graph(tmp_path / "nan.json"))
+    assert code == 1 and out == ""
+    assert "vertex 3 boundary matrix entry (0, 0) is not finite" in err
+
+
+@pytest.mark.parametrize("method", ["series", "power"])
+def test_walk_refuses_a_non_finite_matrix(method, tmp_path, capsys):
+    code, out, err = run(capsys, "walk", "--graph", _nan_matrix_graph(tmp_path / "nan.json"),
+                         "--method", method)
+    assert code == 1 and out == ""
+    assert "is not finite" in err
+
+
 def test_a_singular_limit_exits_two(monkeypatch, capsys):
     # the solve at kl = 1.5 and at 1.5 +- 1e-9 is non-finite
     import qgraph.solver as solver_mod

@@ -33,6 +33,13 @@ def test_symmetric_forms_reject_non_unitary_parameters():
         qg.symmetric_c4_amplitude(0.5, 0.5, NK2_R, NK2_T)
 
 
+@pytest.mark.parametrize("form", [qg.symmetric_c3_amplitude, qg.symmetric_c4_amplitude])
+def test_symmetric_forms_reject_nan_parameters(form):
+    # a NaN defect compares false with the tolerance; it must still refuse
+    with pytest.raises(ValueError, match="not unitary"):
+        form(NK3_R, NK3_T, float("nan"), NK2_T)
+
+
 def test_triangle_forms_agree_in_probability():
     sym = qg.symmetric_c3_amplitude(NK3_R, NK3_T, NK2_R, NK2_T)
     gen = qg.cycle_nk_amplitude(3)

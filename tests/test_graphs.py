@@ -152,6 +152,23 @@ def test_validate_reports_bad_custom_matrices():
     assert any("not unitary" in p for p in report.problems)
 
 
+@pytest.mark.parametrize("cell", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_validate_names_non_finite_matrix_entries(cell):
+    # NaN compares false with every tolerance, so the unitarity test alone
+    # would pass it; the entry is named instead
+    matrix = np.eye(2, dtype=complex)
+    matrix[1, 0] = cell
+    graph = qg.QuantumGraph(
+        vertex_ids=(1, 2, 3),
+        boundary=(qg.NK, qg.NK, matrix),
+        edges=(qg.Edge(1, 2), qg.Edge(2, 3), qg.Edge(3, 1)),
+        leads=(1, 2),
+    )
+    assert qg.validate_graph(graph).problems == (
+        f"vertex 3 boundary matrix entry (1, 0) is not finite ({complex(cell)})",
+    )
+
+
 def test_validation_report_truthiness():
     ok = qg.validate_graph(qg.make_cycle_graph(3))
     assert ok and bool(ok) and str(ok) == "ok"

@@ -6,10 +6,12 @@ import pytest
 import qgraph as qg
 from qgraph.solver import _reduce
 from qgraph.walks import (
+    KRYLOV_BLOCK,
     _geometric_tail,
     _gramian_stats,
     _on_rotated_nodes,
     _pole_radius,
+    _recurrence,
     taylor_coefficients,
 )
 
@@ -113,6 +115,24 @@ def test_walk_series_rejects_unnormalizable_coefficients():
         qg.WalkSeries(coefficients=[0.0, 1.2], order=1)
     with pytest.raises(ValueError):
         qg.WalkSeries(coefficients=[0.0, 0.5], order=3)
+
+
+def test_walk_series_rejects_nan_coefficients():
+    with pytest.raises(ValueError, match="not a number"):
+        qg.WalkSeries(coefficients=[0.0, np.nan], order=1)
+
+
+def test_power_iteration_refuses_a_nan_vertex_matrix():
+    # assembly validates the graph, which names the entry
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    graph = qg.QuantumGraph(
+        vertex_ids=(1, 2, 3),
+        boundary=(qg.NK, qg.NK, nan),
+        edges=(qg.Edge(1, 2), qg.Edge(2, 3), qg.Edge(3, 1)),
+        leads=(1, 2),
+    )
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is not finite"):
+        qg.coefficients_via_power_iteration(graph, 3)
 
 
 def test_series_route_refuses_a_total_weight_above_one():
@@ -297,6 +317,104 @@ def test_block_recurrence_matches_the_scalar_loop(degree, num_len, order, head_o
     assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
     if head_order is not None:
         assert np.array_equal(c[:head_order + 1], head)
+
+
+def _power_loop(graph, order):
+    # reference: one vector at a time, a <- S a and c_m = a @ out_t
+    system = qg.assemble_bond_system(qg.subdivide_integral(graph))
+    c = np.zeros(order + 1, dtype=system.smatrix.dtype)
+    c[0] = system.direct_t
+    if order >= 1:
+        a = system.inj.copy()
+        c[1] = a @ system.out_t
+        for m in range(2, order + 1):
+            a = system.smatrix @ a
+            c[m] = a @ system.out_t
+    return c
+
+
+def _dot_per_step_recurrence(num, den, order, head=()):
+    # reference: the recurrence calling np.dot(tail, window) per coefficient
+    degree = len(den) - 1
+    d0, tail = den[0], den[1:]
+    nums = np.asarray(num).tolist()
+    rc = np.zeros(order + 1 + degree, dtype=np.result_type(num, den, np.asarray(head)))
+    rc[order + 1 - len(head):order + 1] = head[::-1]
+    for m in range(len(head), order + 1):
+        s = order - m
+        acc = nums[m] if m < len(nums) else 0.0
+        rc[s] = (acc - np.dot(tail, rc[s + 1:s + 1 + degree])) / d0
+    return rc[order::-1].copy()
+
+
+def _walk_graph(source):
+    if source == "custom ring":
+        # c5 with a random complex unitary at every vertex
+        rng = np.random.default_rng(5)
+        ring = qg.make_cycle_graph(5)
+        unitaries = tuple(
+            np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            for d in map(ring.degree, ring.vertex_ids)
+        )
+        return qg.QuantumGraph(ring.vertex_ids, unitaries, ring.edges, ring.leads)
+    if source == "c3-c4-c3 x2":
+        return qg.scale_lengths(qg.compose_series(qg.parse_series_shorthand("c3-c4-c3")), 2.0)
+    return qg.make_cycle_graph(int(source[1:]))
+
+
+WALK_SOURCES = ["c3", "c99", "c3-c4-c3 x2", "custom ring"]
+# around the Krylov block's edges, and past two of them
+WALK_ORDERS = [0, 1, 255, 256, 257, 600]
+
+
+@pytest.mark.parametrize("source", WALK_SOURCES)
+def test_power_iteration_equals_the_vector_loop_bit_for_bit(source):
+    graph = _walk_graph(source)
+    assert KRYLOV_BLOCK == 256
+    for order in WALK_ORDERS:
+        c = qg.coefficients_via_power_iteration(graph, order).coefficients
+        assert np.array_equal(c, _power_loop(graph, order)), order
+
+
+@pytest.mark.parametrize("source", WALK_SOURCES)
+def test_series_equals_the_dot_per_step_loop_bit_for_bit(source):
+    amp = qg.extract_rational_amplitude(_walk_graph(source))
+    for order in WALK_ORDERS:
+        c = taylor_coefficients(amp, order).coefficients
+        assert np.array_equal(c, _dot_per_step_recurrence(amp.num, amp.den, order)), order
+    # a head extended past it, as walk_stats_to_tolerance extends its expansions
+    head = _recurrence(amp.num, amp.den, 257)
+    assert np.array_equal(_recurrence(amp.num, amp.den, 600, head),
+                          _dot_per_step_recurrence(amp.num, amp.den, 600, head))
+
+
+@pytest.mark.parametrize("source", ["c5", "custom ring"])
+def test_certified_series_extends_its_head_bit_for_bit(source):
+    # walk_stats_to_tolerance doubles its order from 64, extending each
+    # expansion; c5 certifies at order 512 after three extensions
+    amp = qg.extract_rational_amplitude(_walk_graph(source))
+    p = qg.walk_stats_to_tolerance(amp).p_of_m
+    c, order = (), 64
+    while len(c) < len(p):
+        c = _dot_per_step_recurrence(amp.num, amp.den, order, c)
+        order *= 2
+    assert len(c) == len(p) >= 257
+    assert np.array_equal(np.abs(c) ** 2, p)
+
+
+def test_power_iteration_memory_is_one_block():
+    # 20000 orders of c99's 198 bonds: a block of 256 rows is 0.4 MB, and
+    # all the Krylov vectors at once would be 31.7 MB
+    import tracemalloc
+
+    graph = qg.make_cycle_graph(99)
+    tracemalloc.start()
+    try:
+        qg.coefficients_via_power_iteration(graph, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("shift", [0, 600])
